@@ -57,12 +57,17 @@ fn bench_nsh(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_switch_pipeline(c: &mut Criterion) {
-    // Full generated-P4 switch traversal for chain 5's ingress visit.
+/// A loaded ToR switch for `chains`, placed by Lemur on the testbed, and
+/// the generated entries it was loaded with.
+fn loaded_switch(
+    chains: &[lemur_core::chains::CanonicalChain],
+) -> (
+    lemur_p4sim::Switch,
+    Vec<lemur_dataplane::traffic::TrafficSpec>,
+    lemur_metacompiler::p4gen::SynthesizedP4,
+) {
     use lemur_bench::{build_problem, Scheme};
-    use lemur_core::chains::CanonicalChain::Chain5;
-    use lemur_placer::topology::Topology;
-    let (p, _) = build_problem(&[Chain5], 0.5, Topology::testbed());
+    let (p, specs) = build_problem(chains, 0.5, lemur_placer::topology::Topology::testbed());
     let oracle = lemur_bench::compiler_oracle();
     let e = lemur_bench::place(Scheme::Lemur, &p, &oracle).unwrap();
     let plan = lemur_metacompiler::routing::plan(&p, &e.assignment);
@@ -71,6 +76,23 @@ fn bench_switch_pipeline(c: &mut Criterion) {
     let mut sw =
         lemur_p4sim::Switch::new(synth.program.clone(), *p.topology.pisa().unwrap()).unwrap();
     synth.install(&mut sw);
+    (sw, specs, synth)
+}
+
+fn bench_switch_pipeline(c: &mut Criterion) {
+    use lemur_core::chains::CanonicalChain::Chain5;
+    use lemur_p4sim::MatchValue;
+    let visit = |c: &mut Criterion, name: &str, sw: &mut lemur_p4sim::Switch, pkt: &PacketBuf| {
+        c.bench_function(name, |b| {
+            b.iter_batched(
+                || pkt.clone(),
+                |mut p| sw.process(&mut p),
+                criterion::BatchSize::SmallInput,
+            );
+        });
+    };
+    // Full generated-P4 switch traversal for chain 5's ingress visit.
+    let (mut sw, _, _) = loaded_switch(&[Chain5]);
     let fresh = udp_packet(
         ethernet::Address([2, 0, 0, 0, 0, 1]),
         ethernet::Address([2, 0, 0, 0, 0, 2]),
@@ -80,13 +102,31 @@ fn bench_switch_pipeline(c: &mut Criterion) {
         80,
         &[0u8; 256],
     );
-    c.bench_function("switch_ingress_visit", |b| {
-        b.iter_batched(
-            || fresh.clone(),
-            |mut p| sw.process(&mut p),
-            criterion::BatchSize::SmallInput,
-        );
-    });
+    visit(c, "switch_ingress_visit", &mut sw, &fresh);
+
+    // The visits exp_perf's `rack-64b` ledger line `p4sim.process_ns`
+    // averages: figure-2 set a (52 tables) at 64-byte frames, once as a
+    // packet fresh from the wire and once resuming from a server with the
+    // NSH header the steer table dispatches on.
+    let (mut sw, specs, synth) = loaded_switch(&lemur_bench::figure2_set('a').unwrap());
+    let mut spec = specs[0].clone();
+    spec.payload_len = 22;
+    let (_, fresh) = lemur_dataplane::traffic::ChainSource::new(spec, 1).next_packet();
+    assert_eq!(fresh.len(), 64);
+    assert!(!sw.process(&mut fresh.clone()).dropped);
+    visit(c, "switch_set_a_64b_fresh_visit", &mut sw, &fresh);
+    let (spi, si) = synth
+        .entries
+        .iter()
+        .find_map(|(_, e)| match e.keys[..] {
+            [MatchValue::Exact(spi), MatchValue::Exact(si), ..] if spi != 0 => Some((spi, si)),
+            _ => None,
+        })
+        .expect("set a resumes from a server at least once");
+    let mut resume = fresh.clone();
+    nsh_encap(&mut resume, spi as u32, si as u8);
+    assert!(!sw.process(&mut resume.clone()).dropped);
+    visit(c, "switch_set_a_64b_nsh_resume_visit", &mut sw, &resume);
 }
 
 /// Short measurement windows: these benches exist to regenerate the

@@ -752,7 +752,17 @@ impl Testbed {
         let window_ns = config.window_ns.max(1);
         let mut window_acc: Vec<WindowAcc> = vec![WindowAcc::default(); self.n_chains];
         let mut window_start = warmup_ns;
-        let mut windows: Vec<WindowSample> = Vec::new();
+        // Every whole window up to the horizon closes, one sample per
+        // chain: size the report's vector exactly instead of growing it, so
+        // a caller that keeps many reports keeps no doubling slack. (Capped:
+        // a degenerate window/duration pair must not reserve the world.)
+        let whole_windows = (horizon_ns.saturating_sub(warmup_ns) / window_ns) as usize;
+        let samples = if windows_on {
+            whole_windows.saturating_mul(self.n_chains).min(1 << 16)
+        } else {
+            0
+        };
+        let mut windows: Vec<WindowSample> = Vec::with_capacity(samples);
         fn close_window(
             end_ns: u64,
             start_ns: u64,

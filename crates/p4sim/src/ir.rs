@@ -97,8 +97,10 @@ impl MatchValue {
                 if prefix_len == 0 {
                     return true;
                 }
-                let shift = width.saturating_sub(prefix_len);
-                (v >> shift) == (value >> shift)
+                // Total for any width: shifting a 64-bit word by 64 or more
+                // leaves no bits to compare.
+                let shift = u32::from(width.saturating_sub(prefix_len));
+                v.checked_shr(shift).unwrap_or(0) == value.checked_shr(shift).unwrap_or(0)
             }
             MatchValue::Ternary { value, mask } => (v & mask) == (value & mask),
             MatchValue::Range { lo, hi } => lo <= v && v <= hi,
@@ -651,6 +653,31 @@ mod tests {
             width: 32,
         };
         assert!(lpm.matches(u64::MAX));
+    }
+
+    #[test]
+    fn lpm_wider_than_a_word_does_not_panic() {
+        // width - prefix_len >= 64 shifts every bit out: nothing left to
+        // disagree on (and no shift overflow, debug or release).
+        let lpm = MatchValue::Lpm {
+            value: 1,
+            prefix_len: 8,
+            width: 200,
+        };
+        assert!(lpm.matches(0) && lpm.matches(u64::MAX));
+        let edge = MatchValue::Lpm {
+            value: 0,
+            prefix_len: 1,
+            width: 65,
+        };
+        assert!(edge.matches(u64::MAX));
+        // A full-width 64-bit prefix still compares every bit.
+        let exact = MatchValue::Lpm {
+            value: 7,
+            prefix_len: 64,
+            width: 64,
+        };
+        assert!(exact.matches(7) && !exact.matches(6));
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! the meta-compiler when unifying standalone NFs.
 
 pub mod compiler;
+mod header;
 pub mod ir;
 pub mod parser;
 pub mod resources;

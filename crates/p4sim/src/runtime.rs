@@ -1,22 +1,24 @@
 //! The PISA switch runtime: executes a compiled program on packets.
 //!
-//! One [`Switch`] instance models the ToR. Packets flow through the control
-//! tree; each applied table extracts its key fields, finds the highest-
-//! priority matching entry, and runs the entry's action primitives. PISA
-//! pipelines process at line rate, so the runtime charges no per-packet CPU
-//! cost — rate limits are enforced by port capacities in the dataplane.
+//! One [`Switch`] instance models the ToR. Loading a program lowers its
+//! control tree (and, separately, its stage order with each table's path
+//! condition) to a flat `Code` array once; per packet the runtime walks
+//! that array, and each applied table extracts its key fields, finds the
+//! highest-priority matching entry, and runs the entry's action
+//! primitives — borrowing tables, entries and actions in place, with
+//! metadata in a fixed register file and header offsets parsed once per
+//! visit (`header::HeaderView`). PISA pipelines process at line rate, so the
+//! runtime charges no per-packet CPU cost — rate limits are enforced by
+//! port capacities in the dataplane.
 
 use crate::compiler::{
     compile, compile_naive, table_guards, CompileOptions, GuardAtom, StageAssignment,
 };
+use crate::header::{HeaderView, ETH};
 use crate::ir::*;
 use crate::resources::PisaModel;
-use lemur_packet::builder;
-use lemur_packet::ethernet::{self, EtherType};
-use lemur_packet::flow::FiveTuple;
-use lemur_packet::ipv4::Protocol;
-use lemur_packet::{ipv4, nsh, tcp, udp, vlan, PacketBuf};
-use std::collections::HashMap;
+use lemur_packet::flow::salted_hash;
+use lemur_packet::{builder, nsh, PacketBuf};
 use std::fmt;
 
 /// Why a packet was dropped — part of the observable behavior the
@@ -65,6 +67,14 @@ pub enum EntryError {
     },
     /// The entry's action index is out of range for the table.
     NoSuchAction { table: TableId, action: usize },
+    /// An LPM key is wider than a match word (64 bits) or its prefix is
+    /// longer than its width.
+    BadLpm {
+        table: TableId,
+        key: usize,
+        prefix_len: u8,
+        width: u8,
+    },
 }
 
 impl fmt::Display for EntryError {
@@ -83,19 +93,222 @@ impl fmt::Display for EntryError {
             EntryError::NoSuchAction { table, action } => {
                 write!(f, "table {} has no action {action}", table.0)
             }
+            EntryError::BadLpm {
+                table,
+                key,
+                prefix_len,
+                width,
+            } => write!(
+                f,
+                "table {} key {key}: LPM /{prefix_len} over {width} bits",
+                table.0
+            ),
         }
     }
 }
 
 impl std::error::Error for EntryError {}
 
-/// Per-packet execution state.
+/// One instruction of a lowered control program. Jump targets are indices
+/// into [`Code::ops`] and only point forward, so execution terminates.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Apply(TableId),
+    /// Fall through if `field op value` holds, else continue at `skip`.
+    Test {
+        field: FieldRef,
+        op: CmpOp,
+        value: u64,
+        skip: usize,
+    },
+    /// Continue at the target of the first of `Code::arms[arms.0..arms.1]`
+    /// whose value equals `on`, else at `default`.
+    Select {
+        on: FieldRef,
+        arms: (usize, usize),
+        default: usize,
+    },
+    Jump(usize),
+}
+
+/// A control program lowered to straight-line code: what
+/// [`Switch::process`] and [`Switch::process_staged`] walk per packet.
 #[derive(Debug, Default)]
-struct ExecState {
-    meta: HashMap<u8, u64>,
+struct Code {
+    ops: Vec<Op>,
+    /// `(value, target)` pairs of every [`Op::Select`].
+    arms: Vec<(u64, usize)>,
+}
+
+impl Code {
+    /// Lower a control tree. `Seq` and `Exclusive` children all execute in
+    /// order (an `Exclusive` child filters on its own guard); a `Switch`
+    /// runs its first matching case, else its default.
+    fn tree(node: &Control) -> Code {
+        let mut code = Code::default();
+        code.lower(node);
+        code
+    }
+
+    fn lower(&mut self, node: &Control) {
+        match node {
+            Control::Nop => {}
+            Control::Seq(items) | Control::Exclusive(items) => {
+                items.iter().for_each(|i| self.lower(i));
+            }
+            Control::Apply(t) => self.ops.push(Op::Apply(*t)),
+            Control::If {
+                field,
+                op,
+                value,
+                then_,
+            } => {
+                let at = self.ops.len();
+                self.ops.push(Op::Jump(0));
+                self.lower(then_);
+                self.ops[at] = Op::Test {
+                    field: *field,
+                    op: *op,
+                    value: *value,
+                    skip: self.ops.len(),
+                };
+            }
+            Control::Switch { on, cases, default } => {
+                let at = self.ops.len();
+                self.ops.push(Op::Jump(0));
+                let lo = self.arms.len();
+                self.arms.extend(cases.iter().map(|(v, _)| (*v, 0)));
+                let mut exits = Vec::new();
+                for (i, (_, body)) in cases.iter().enumerate() {
+                    self.arms[lo + i].1 = self.ops.len();
+                    self.lower(body);
+                    exits.push(self.ops.len());
+                    self.ops.push(Op::Jump(0));
+                }
+                self.ops[at] = Op::Select {
+                    on: *on,
+                    arms: (lo, lo + cases.len()),
+                    default: self.ops.len(),
+                };
+                if let Some(d) = default {
+                    self.lower(d);
+                }
+                for e in exits {
+                    self.ops[e] = Op::Jump(self.ops.len());
+                }
+            }
+        }
+    }
+
+    /// Lower stage-order execution: the control tree that applies each
+    /// table of `order` in turn, nested inside its own path condition.
+    fn staged(program: &P4Program, order: &[TableId]) -> Code {
+        let guards = table_guards(program);
+        let test = |field: &FieldRef, op: CmpOp, value: &u64, inner| Control::If {
+            field: *field,
+            op,
+            value: *value,
+            then_: Box::new(inner),
+        };
+        let guarded = |t: &TableId| {
+            let atoms = guards.get(t).map_or(&[][..], Vec::as_slice);
+            atoms
+                .iter()
+                .rev()
+                .fold(Control::Apply(*t), |inner, atom| match atom {
+                    GuardAtom::Eq { field, value } => test(field, CmpOp::Eq, value, inner),
+                    GuardAtom::Cmp { field, op, value } => test(field, *op, value, inner),
+                    GuardAtom::NotIn { field, values } => Control::Switch {
+                        on: *field,
+                        cases: values.iter().map(|v| (*v, Control::Nop)).collect(),
+                        default: Some(Box::new(inner)),
+                    },
+                })
+        };
+        Code::tree(&Control::Seq(order.iter().map(guarded).collect()))
+    }
+}
+
+/// The `Meta(n)` register file. It outlives a packet only as storage:
+/// every packet starts with all 256 registers reading 0, at the cost of
+/// clearing just the span the previous packet wrote.
+struct Registers {
+    regs: [u64; 256],
+    /// One past the highest register written since the last clear.
+    dirty: usize,
+}
+
+impl Registers {
+    fn new() -> Registers {
+        Registers {
+            regs: [0; 256],
+            dirty: 0,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.regs[..self.dirty].fill(0);
+        self.dirty = 0;
+    }
+
+    fn write(&mut self, n: u8, v: u64) {
+        self.regs[n as usize] = v;
+        self.dirty = self.dirty.max(n as usize + 1);
+    }
+}
+
+/// Per-packet execution state.
+struct ExecState<'a> {
+    meta: &'a mut Registers,
     egress: Option<u16>,
     dropped: bool,
     cause: Option<DropCause>,
+    /// Header view of the packet as it now is, parsed on first use.
+    view: Option<HeaderView>,
+    /// Unsalted flow hash of the packet as it now is (`Some(None)`: the
+    /// 5-tuple does not parse), computed on first use.
+    hash: Option<Option<u64>>,
+}
+
+impl ExecState<'_> {
+    fn new(meta: &mut Registers) -> ExecState<'_> {
+        meta.clear();
+        ExecState {
+            meta,
+            egress: None,
+            dropped: false,
+            cause: None,
+            view: None,
+            hash: None,
+        }
+    }
+
+    fn view(&mut self, b: &[u8]) -> HeaderView {
+        self.check(b);
+        *self.view.get_or_insert_with(|| HeaderView::parse(b))
+    }
+
+    fn flow_hash(&mut self, b: &[u8]) -> Option<u64> {
+        let view = self.view(b);
+        *self.hash.get_or_insert_with(|| view.flow_hash(b))
+    }
+
+    /// Forget everything derived from the packet's header layout.
+    fn invalidate(&mut self) {
+        self.view = None;
+        self.hash = None;
+    }
+
+    /// Debug builds: what is cached must equal a fresh parse of `b`, so
+    /// every debug-mode test that drives a switch detects a stale cache.
+    fn check(&self, b: &[u8]) {
+        if let Some(v) = self.view {
+            debug_assert_eq!(v, HeaderView::parse(b), "stale header view");
+        }
+        if let Some(h) = self.hash {
+            debug_assert_eq!(h, HeaderView::parse(b).flow_hash(b), "stale flow hash");
+        }
+    }
 }
 
 /// A running PISA switch: program + entries + counters.
@@ -104,11 +317,17 @@ pub struct Switch {
     /// Entries per table, kept sorted by descending priority.
     entries: Vec<Vec<TableEntry>>,
     assignment: StageAssignment,
-    /// Path condition of each table, for stage-order execution.
-    guards: HashMap<TableId, Vec<GuardAtom>>,
+    /// The control tree, lowered for [`Switch::process`].
+    tree: Code,
+    /// `staged_order` with each table's path condition, lowered for
+    /// [`Switch::process_staged`].
+    staged: Code,
     /// Tables in stage order (first slice only for split tables).
     staged_order: Vec<TableId>,
     counters: Vec<TableCounters>,
+    /// Key-extraction scratch, reused by every table application.
+    keys: Vec<u64>,
+    meta: Registers,
     model: PisaModel,
     packets_in: u64,
     packets_dropped: u64,
@@ -151,7 +370,6 @@ impl Switch {
         model: PisaModel,
         assignment: StageAssignment,
     ) -> Switch {
-        let guards = table_guards(&program);
         // Flatten stages into an execution order; a split table occupies
         // several stages but executes once, at its first slice.
         let mut staged_order = Vec::new();
@@ -165,12 +383,15 @@ impl Switch {
         let entries = vec![Vec::new(); program.num_tables()];
         let counters = vec![TableCounters::default(); program.num_tables()];
         Switch {
+            tree: program.control.as_ref().map(Code::tree).unwrap_or_default(),
+            staged: Code::staged(&program, &staged_order),
             program,
             entries,
             assignment,
-            guards,
             staged_order,
             counters,
+            keys: Vec::new(),
+            meta: Registers::new(),
             model,
             packets_in: 0,
             packets_dropped: 0,
@@ -207,7 +428,8 @@ impl Switch {
     }
 
     /// Validate and install an entry: the table must exist, the key arity
-    /// must match, and the action index must be in range.
+    /// must match, the action index must be in range, and LPM keys must
+    /// fit a match word.
     pub fn try_add_entry(&mut self, table: TableId, entry: TableEntry) -> Result<(), EntryError> {
         let Some(def) = self.program.tables.get(table.0) else {
             return Err(EntryError::NoSuchTable(table));
@@ -224,6 +446,21 @@ impl Switch {
                 table,
                 action: entry.action,
             });
+        }
+        for (key, m) in entry.keys.iter().enumerate() {
+            if let MatchValue::Lpm {
+                prefix_len, width, ..
+            } = *m
+            {
+                if width > 64 || prefix_len > width {
+                    return Err(EntryError::BadLpm {
+                        table,
+                        key,
+                        prefix_len,
+                        width,
+                    });
+                }
+            }
         }
         self.add_entry(table, entry);
         Ok(())
@@ -252,12 +489,7 @@ impl Switch {
 
     /// Run one packet through the pipeline.
     pub fn process(&mut self, pkt: &mut PacketBuf) -> SwitchVerdict {
-        self.packets_in += 1;
-        let mut state = ExecState::default();
-        if let Some(control) = self.program.control.clone() {
-            self.exec(&control, pkt, &mut state);
-        }
-        self.finish(state)
+        self.run(false, pkt)
     }
 
     /// Run one packet in *stage order*: tables execute in the sequence the
@@ -268,31 +500,54 @@ impl Switch {
     /// agree. [`Switch::process`] walks the control tree instead and never
     /// looks at stages.
     pub fn process_staged(&mut self, pkt: &mut PacketBuf) -> SwitchVerdict {
+        self.run(true, pkt)
+    }
+
+    /// Walk one of the two lowered programs until it ends or the packet
+    /// drops; a skipped or never-reached table is not counted `applied`.
+    fn run(&mut self, staged: bool, pkt: &mut PacketBuf) -> SwitchVerdict {
         self.packets_in += 1;
-        let mut state = ExecState::default();
-        let order = self.staged_order.clone();
-        for t in order {
-            if state.dropped {
-                break;
-            }
-            if self.guard_passes(t, pkt, &state) {
-                self.apply_table(t, pkt, &mut state);
-            }
+        let code = if staged { &self.staged } else { &self.tree };
+        let mut state = ExecState::new(&mut self.meta);
+        let mut pc = 0;
+        while let Some(op) = code.ops.get(pc) {
+            pc = match *op {
+                Op::Apply(t) => {
+                    apply_table(
+                        &self.program.tables[t.0],
+                        &self.entries[t.0],
+                        &mut self.counters[t.0],
+                        &mut self.keys,
+                        pkt,
+                        &mut state,
+                    );
+                    // Only a table action can drop; nothing runs after it.
+                    if state.dropped {
+                        break;
+                    }
+                    pc + 1
+                }
+                Op::Test {
+                    field,
+                    op,
+                    value,
+                    skip,
+                } => {
+                    let v = read_field(pkt, field, &mut state).unwrap_or(0);
+                    if op.eval(v, value) {
+                        pc + 1
+                    } else {
+                        skip
+                    }
+                }
+                Op::Select { on, arms, default } => {
+                    let v = read_field(pkt, on, &mut state).unwrap_or(0);
+                    let hit = code.arms[arms.0..arms.1].iter().find(|(k, _)| *k == v);
+                    hit.map_or(default, |(_, target)| *target)
+                }
+                Op::Jump(target) => target,
+            };
         }
-        self.finish(state)
-    }
-
-    fn guard_passes(&self, t: TableId, pkt: &PacketBuf, state: &ExecState) -> bool {
-        match self.guards.get(&t) {
-            Some(gs) => gs.iter().all(|g| {
-                let v = read_field(pkt, g.field(), state).unwrap_or(0);
-                g.eval(v)
-            }),
-            None => true,
-        }
-    }
-
-    fn finish(&mut self, state: ExecState) -> SwitchVerdict {
         if state.dropped {
             self.packets_dropped += 1;
             SwitchVerdict {
@@ -308,97 +563,52 @@ impl Switch {
             }
         }
     }
+}
 
-    fn exec(&mut self, node: &Control, pkt: &mut PacketBuf, state: &mut ExecState) {
+/// Apply one table: extract the keys into `keys`, scan `entries` (sorted
+/// by descending priority, first inserted first) for the first match, and
+/// run the matched — or default — action.
+fn apply_table(
+    table: &Table,
+    entries: &[TableEntry],
+    counters: &mut TableCounters,
+    keys: &mut Vec<u64>,
+    pkt: &mut PacketBuf,
+    state: &mut ExecState<'_>,
+) {
+    counters.applied += 1;
+    keys.clear();
+    for (f, _) in &table.keys {
+        keys.push(read_field(pkt, *f, state).unwrap_or(0));
+    }
+    let hit = entries.iter().find(|e| {
+        e.keys.len() == keys.len() && e.keys.iter().zip(keys.iter()).all(|(m, v)| m.matches(*v))
+    });
+    let (action, data) = match hit {
+        Some(e) => {
+            counters.hits += 1;
+            (Some(e.action), e.action_data.as_slice())
+        }
+        None => {
+            counters.misses += 1;
+            (table.default_action, &[][..])
+        }
+    };
+    // Out-of-range indices are screened by `validate`/`try_add_entry`;
+    // treat any that slip through a trusted path as a no-op rather
+    // than panicking mid-pipeline.
+    let Some(action) = action.and_then(|ai| table.actions.get(ai)) else {
+        return;
+    };
+    for prim in &action.primitives {
+        run_primitive(*prim, data, pkt, state);
         if state.dropped {
             return;
-        }
-        match node {
-            Control::Nop => {}
-            Control::Seq(items) => {
-                for item in items {
-                    self.exec(item, pkt, state);
-                    if state.dropped {
-                        return;
-                    }
-                }
-            }
-            Control::Apply(t) => self.apply_table(*t, pkt, state),
-            Control::Switch { on, cases, default } => {
-                let v = read_field(pkt, *on, state).unwrap_or(0);
-                let case = cases.iter().find(|(k, _)| *k == v);
-                match case {
-                    Some((_, c)) => self.exec(c, pkt, state),
-                    None => {
-                        if let Some(d) = default {
-                            self.exec(d, pkt, state);
-                        }
-                    }
-                }
-            }
-            Control::If {
-                field,
-                op,
-                value,
-                then_,
-            } => {
-                let v = read_field(pkt, *field, state).unwrap_or(0);
-                if op.eval(v, *value) {
-                    self.exec(then_, pkt, state);
-                }
-            }
-            Control::Exclusive(items) => {
-                for item in items {
-                    self.exec(item, pkt, state);
-                    if state.dropped {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    fn apply_table(&mut self, id: TableId, pkt: &mut PacketBuf, state: &mut ExecState) {
-        let table = &self.program.tables[id.0];
-        self.counters[id.0].applied += 1;
-        let keys: Vec<u64> = table
-            .keys
-            .iter()
-            .map(|(f, _)| read_field(pkt, *f, state).unwrap_or(0))
-            .collect();
-        let hit = self.entries[id.0]
-            .iter()
-            .find(|e| {
-                e.keys.len() == keys.len() && e.keys.iter().zip(&keys).all(|(m, v)| m.matches(*v))
-            })
-            .cloned();
-        let (action_idx, data) = match hit {
-            Some(e) => {
-                self.counters[id.0].hits += 1;
-                (Some(e.action), e.action_data)
-            }
-            None => {
-                self.counters[id.0].misses += 1;
-                (table.default_action, Vec::new())
-            }
-        };
-        let Some(ai) = action_idx else { return };
-        // Out-of-range indices are screened by `validate`/`try_add_entry`;
-        // treat any that slip through a trusted path as a no-op rather
-        // than panicking mid-pipeline.
-        let Some(action) = table.actions.get(ai).cloned() else {
-            return;
-        };
-        for prim in &action.primitives {
-            run_primitive(*prim, &data, pkt, state);
-            if state.dropped {
-                return;
-            }
         }
     }
 }
 
-fn run_primitive(p: Primitive, data: &[u64], pkt: &mut PacketBuf, state: &mut ExecState) {
+fn run_primitive(p: Primitive, data: &[u64], pkt: &mut PacketBuf, state: &mut ExecState<'_>) {
     let word = |n: u8| data.get(n as usize).copied().unwrap_or(0);
     match p {
         Primitive::NoOp => {}
@@ -413,11 +623,11 @@ fn run_primitive(p: Primitive, data: &[u64], pkt: &mut PacketBuf, state: &mut Ex
         Primitive::PushVlanFromData(n) => {
             // The tag belongs to the inner (service-payload) frame, behind
             // any NSH encapsulation.
-            let off = inner_frame_offset(pkt.as_slice());
+            let off = state.view(pkt.as_slice()).inner();
             builder::vlan_push_at(pkt, off, (word(n) & 0x0fff) as u16);
         }
         Primitive::PopVlan => {
-            let off = inner_frame_offset(pkt.as_slice());
+            let off = state.view(pkt.as_slice()).inner();
             let _ = builder::vlan_pop_at(pkt, off);
         }
         Primitive::PushNshFromData(n) => {
@@ -427,240 +637,60 @@ fn run_primitive(p: Primitive, data: &[u64], pkt: &mut PacketBuf, state: &mut Ex
             let _ = builder::nsh_decap(pkt);
         }
         Primitive::DecNshSi => {
-            let whole_len = pkt.len();
-            let frame = pkt.as_mut_slice();
-            if let Ok(eth) = ethernet::Frame::new_checked(&frame[..]) {
-                // The EtherType may promise NSH on a frame truncated
-                // mid-header; only a complete service header is writable.
-                if eth.ethertype() == EtherType::Nsh
-                    && whole_len >= ethernet::HEADER_LEN + nsh::HEADER_LEN
-                {
-                    let mut h = nsh::Header::new_unchecked(&mut frame[ethernet::HEADER_LEN..]);
-                    if h.decrement_si().is_err() {
-                        state.dropped = true;
-                        state.cause = Some(DropCause::SiUnderflow);
-                    }
+            if state.view(pkt.as_slice()).nsh_writable {
+                let mut h = nsh::Header::new_unchecked(&mut pkt.as_mut_slice()[ETH..]);
+                if h.decrement_si().is_err() {
+                    state.dropped = true;
+                    state.cause = Some(DropCause::SiUnderflow);
                 }
             }
         }
     }
+    if p.restructures() {
+        state.invalidate();
+    }
+    state.check(pkt.as_slice());
 }
 
-/// Offset of the "effective" (inner) Ethernet frame: behind the outer
-/// Ethernet+NSH headers for service-chained packets, 0 otherwise.
-fn inner_frame_offset(frame: &[u8]) -> usize {
-    if let Ok(eth) = ethernet::Frame::new_checked(frame) {
-        if eth.ethertype() == EtherType::Nsh && nsh::Header::new_checked(eth.payload()).is_ok() {
-            return ethernet::HEADER_LEN + nsh::HEADER_LEN;
-        }
-    }
-    0
-}
-
-/// L3 offset within the inner frame, looking through one VLAN tag.
-fn l3_offset(frame: &[u8]) -> Option<usize> {
-    let eth = ethernet::Frame::new_checked(frame).ok()?;
-    match eth.ethertype() {
-        EtherType::Ipv4 => Some(ethernet::HEADER_LEN),
-        EtherType::Vlan => {
-            let tag = vlan::Tag::new_checked(eth.payload()).ok()?;
-            (tag.inner_ethertype() == EtherType::Ipv4)
-                .then_some(ethernet::HEADER_LEN + vlan::TAG_LEN)
-        }
-        _ => None,
-    }
-}
-
-fn read_field(pkt: &PacketBuf, f: FieldRef, state: &ExecState) -> Option<u64> {
-    let whole = pkt.as_slice();
-    if let FieldRef::Meta(n) = f {
-        return Some(state.meta.get(&n).copied().unwrap_or(0));
-    }
-    if matches!(f, FieldRef::NshSpi | FieldRef::NshSi) {
-        let eth = ethernet::Frame::new_checked(whole).ok()?;
-        if eth.ethertype() != EtherType::Nsh {
-            return None;
-        }
-        let h = nsh::Header::new_checked(eth.payload()).ok()?;
-        return Some(match f {
-            FieldRef::NshSpi => h.spi() as u64,
-            _ => h.si() as u64,
-        });
-    }
-    let frame = &whole[inner_frame_offset(whole)..];
+/// Read `f` from the register file or, through the cached view, from the
+/// packet; `None` if the field's header is absent or truncated.
+fn read_field(pkt: &PacketBuf, f: FieldRef, state: &mut ExecState<'_>) -> Option<u64> {
     match f {
-        FieldRef::EthSrc => {
-            let eth = ethernet::Frame::new_checked(frame).ok()?;
-            Some(mac_to_u64(eth.src()))
+        FieldRef::Meta(n) => Some(state.meta.regs[n as usize]),
+        FieldRef::FlowHash(salt) => state
+            .flow_hash(pkt.as_slice())
+            .map(|h| salted_hash(h, salt)),
+        _ => {
+            let b = pkt.as_slice();
+            state.view(b).read(b, f)
         }
-        FieldRef::EthDst => {
-            let eth = ethernet::Frame::new_checked(frame).ok()?;
-            Some(mac_to_u64(eth.dst()))
-        }
-        FieldRef::EtherType => {
-            let eth = ethernet::Frame::new_checked(frame).ok()?;
-            Some(u16::from(eth.ethertype()) as u64)
-        }
-        FieldRef::VlanVid => Some(builder::vlan_peek(frame)? as u64),
-        FieldRef::FlowHash(salt) => FiveTuple::parse(frame)
-            .ok()
-            .map(|t| lemur_packet::flow::salted_hash(t.symmetric_hash(), salt)),
-        FieldRef::Ipv4Src | FieldRef::Ipv4Dst | FieldRef::Ipv4Proto | FieldRef::Ipv4Ttl => {
-            let l3 = l3_offset(frame)?;
-            let ip = ipv4::Packet::new_checked(&frame[l3..]).ok()?;
-            Some(match f {
-                FieldRef::Ipv4Src => ip.src().to_u32() as u64,
-                FieldRef::Ipv4Dst => ip.dst().to_u32() as u64,
-                FieldRef::Ipv4Proto => u8::from(ip.protocol()) as u64,
-                _ => ip.ttl() as u64,
-            })
-        }
-        FieldRef::L4Sport | FieldRef::L4Dport => {
-            let l3 = l3_offset(frame)?;
-            let ip = ipv4::Packet::new_checked(&frame[l3..]).ok()?;
-            let l4 = l3 + ip.header_len() as usize;
-            let (s, d) = match ip.protocol() {
-                Protocol::Udp => {
-                    let u = udp::Packet::new_checked(&frame[l4..]).ok()?;
-                    (u.src_port(), u.dst_port())
-                }
-                Protocol::Tcp => {
-                    let t = tcp::Packet::new_checked(&frame[l4..]).ok()?;
-                    (t.src_port(), t.dst_port())
-                }
-                _ => return None,
-            };
-            Some(if f == FieldRef::L4Sport {
-                s as u64
-            } else {
-                d as u64
-            })
-        }
-        FieldRef::NshSpi | FieldRef::NshSi | FieldRef::Meta(_) => unreachable!(),
     }
 }
 
-fn write_field(pkt: &mut PacketBuf, f: FieldRef, v: u64, state: &mut ExecState) {
+/// Write `v` to `f` (see [`HeaderView::write`] for what is writable) and
+/// drop whatever cached state the write can change.
+fn write_field(pkt: &mut PacketBuf, f: FieldRef, v: u64, state: &mut ExecState<'_>) {
     if let FieldRef::Meta(n) = f {
-        state.meta.insert(n, v);
+        state.meta.write(n, v);
         return;
     }
-    let whole_len = pkt.len();
-    let whole = pkt.as_mut_slice();
-    if matches!(f, FieldRef::NshSpi | FieldRef::NshSi) {
-        if let Ok(eth) = ethernet::Frame::new_checked(&whole[..]) {
-            if eth.ethertype() == EtherType::Nsh
-                && whole_len >= ethernet::HEADER_LEN + nsh::HEADER_LEN
-            {
-                let mut h = nsh::Header::new_unchecked(&mut whole[ethernet::HEADER_LEN..]);
-                match f {
-                    FieldRef::NshSpi => h.set_spi(v as u32 & 0x00ff_ffff),
-                    _ => h.set_si(v as u8),
-                }
-            }
-        }
-        return;
-    }
-    let off = inner_frame_offset(whole);
-    let frame = &mut whole[off..];
+    state.view(pkt.as_slice()).write(pkt.as_mut_slice(), f, v);
     match f {
-        FieldRef::EthSrc | FieldRef::EthDst => {
-            if frame.len() >= ethernet::HEADER_LEN {
-                let mut eth = ethernet::Frame::new_unchecked(frame);
-                let mac = u64_to_mac(v);
-                if f == FieldRef::EthSrc {
-                    eth.set_src(mac);
-                } else {
-                    eth.set_dst(mac);
-                }
-            }
+        // Decides which headers follow.
+        FieldRef::EtherType => state.invalidate(),
+        FieldRef::Ipv4Src | FieldRef::Ipv4Dst | FieldRef::L4Sport | FieldRef::L4Dport => {
+            state.hash = None;
         }
-        FieldRef::EtherType => {
-            if frame.len() >= ethernet::HEADER_LEN {
-                let mut eth = ethernet::Frame::new_unchecked(frame);
-                eth.set_ethertype(EtherType::from((v & 0xffff) as u16));
-            }
-        }
-        FieldRef::VlanVid => {
-            if let Ok(eth) = ethernet::Frame::new_checked(&frame[..]) {
-                if eth.ethertype() == EtherType::Vlan {
-                    // The EtherType may promise a tag the truncation cut
-                    // off; only a complete tag is writable.
-                    if let Ok(mut tag) = vlan::Tag::new_checked(&mut frame[ethernet::HEADER_LEN..])
-                    {
-                        tag.set_vid((v & 0x0fff) as u16);
-                    }
-                }
-            }
-        }
-        FieldRef::Ipv4Src | FieldRef::Ipv4Dst | FieldRef::Ipv4Ttl => {
-            if let Some(l3) = l3_offset(frame) {
-                // Checked: adversarial frames truncate mid-header, and a
-                // partial IPv4 header is unwritable (no room for the
-                // checksum rewrite).
-                if let Ok(mut ip) = ipv4::Packet::new_checked(&mut frame[l3..]) {
-                    match f {
-                        FieldRef::Ipv4Src => ip.set_src(ipv4::Address::from_u32(v as u32)),
-                        FieldRef::Ipv4Dst => ip.set_dst(ipv4::Address::from_u32(v as u32)),
-                        _ => ip.set_ttl(v as u8),
-                    }
-                    ip.fill_checksum();
-                }
-            }
-        }
-        FieldRef::L4Sport | FieldRef::L4Dport => {
-            if let Some(l3) = l3_offset(frame) {
-                let Ok(ip) = ipv4::Packet::new_checked(&frame[l3..]) else {
-                    return;
-                };
-                let (l4, protocol) = (l3 + ip.header_len() as usize, ip.protocol());
-                match protocol {
-                    Protocol::Udp => {
-                        if let Ok(mut u) = udp::Packet::new_checked(&mut frame[l4..]) {
-                            if f == FieldRef::L4Sport {
-                                u.set_src_port(v as u16);
-                            } else {
-                                u.set_dst_port(v as u16);
-                            }
-                        }
-                    }
-                    Protocol::Tcp => {
-                        if let Ok(mut t) = tcp::Packet::new_checked(&mut frame[l4..]) {
-                            if f == FieldRef::L4Sport {
-                                t.set_src_port(v as u16);
-                            } else {
-                                t.set_dst_port(v as u16);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        FieldRef::Ipv4Proto | FieldRef::FlowHash(_) => {
-            // Not writable on this pipeline.
-        }
-        FieldRef::NshSpi | FieldRef::NshSi | FieldRef::Meta(_) => unreachable!(),
+        _ => {}
     }
-}
-
-fn mac_to_u64(a: ethernet::Address) -> u64 {
-    let mut v = 0u64;
-    for b in a.0 {
-        v = (v << 8) | b as u64;
-    }
-    v
-}
-
-fn u64_to_mac(v: u64) -> ethernet::Address {
-    let b = v.to_be_bytes();
-    ethernet::Address([b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lemur_packet::builder::udp_packet;
+    use lemur_packet::flow::FiveTuple;
+    use lemur_packet::{ethernet, ipv4};
 
     fn sample_pkt(dst: ipv4::Address, dport: u16) -> PacketBuf {
         udp_packet(
@@ -921,9 +951,12 @@ mod tests {
         sw.process(&mut pkt);
         assert_eq!(builder::nsh_peek(pkt.as_slice()), Some((5, 254)));
         // Fields of the inner packet remain readable through the encap.
-        let state = ExecState::default();
         assert_eq!(
-            read_field(&pkt, FieldRef::L4Dport, &state),
+            read_field(
+                &pkt,
+                FieldRef::L4Dport,
+                &mut ExecState::new(&mut Registers::new())
+            ),
             Some(80),
             "inner fields must be visible through NSH"
         );
@@ -932,20 +965,15 @@ mod tests {
     #[test]
     fn flow_hash_field_reads() {
         let pkt = sample_pkt(ipv4::Address::new(1, 2, 3, 4), 80);
-        let state = ExecState::default();
-        let h = read_field(&pkt, FieldRef::FlowHash(0), &state).unwrap();
+        let mut regs = Registers::new();
+        let mut state = ExecState::new(&mut regs);
+        let h = read_field(&pkt, FieldRef::FlowHash(0), &mut state).unwrap();
         let expect = FiveTuple::parse(pkt.as_slice()).unwrap().symmetric_hash();
         assert_eq!(h, expect);
         // Salted reads decorrelate.
-        let h7 = read_field(&pkt, FieldRef::FlowHash(7), &state).unwrap();
+        let h7 = read_field(&pkt, FieldRef::FlowHash(7), &mut state).unwrap();
         assert_ne!(h, h7);
         assert_eq!(h7, lemur_packet::flow::salted_hash(expect, 7));
-    }
-
-    #[test]
-    fn mac_u64_roundtrip() {
-        let a = ethernet::Address([1, 2, 3, 4, 5, 6]);
-        assert_eq!(u64_to_mac(mac_to_u64(a)), a);
     }
 
     #[test]
@@ -996,6 +1024,22 @@ mod tests {
                 action: 7
             })
         );
+        for (prefix_len, width) in [(8u8, 65u8), (33, 32)] {
+            let lpm = MatchValue::Lpm {
+                value: 0,
+                prefix_len,
+                width,
+            };
+            assert_eq!(
+                sw.try_add_entry(t, entry(vec![lpm], 0)),
+                Err(EntryError::BadLpm {
+                    table: t,
+                    key: 0,
+                    prefix_len,
+                    width
+                })
+            );
+        }
         assert_eq!(sw.try_add_entry(t, entry(vec![MatchValue::Any], 0)), Ok(()));
     }
 
