@@ -1425,51 +1425,6 @@ impl Testbed {
                 .map(|t| t.backlog.iter().sum::<u64>())
                 .unwrap_or(0);
 
-        if std::env::var("LEMUR_DBG").is_ok() {
-            eprintln!(
-                "END tor_out backlog={}us",
-                self.tor_out.free_at.saturating_sub(horizon_ns) / 1000
-            );
-            for (s, st) in self.tor_to_server.iter().enumerate() {
-                eprintln!(
-                    "END tor_to_server[{s}] backlog={}us",
-                    st.free_at.saturating_sub(horizon_ns) / 1000
-                );
-            }
-            for (s, st) in self.server_to_tor.iter().enumerate() {
-                eprintln!(
-                    "END server_to_tor[{s}] backlog={}us",
-                    st.free_at.saturating_sub(horizon_ns) / 1000
-                );
-            }
-            for (s, srv) in self.servers.iter().enumerate() {
-                if let Some(srv) = srv {
-                    eprintln!(
-                        "END demux[{s}] backlog={}us unmatched={}",
-                        srv.demux.free_at.saturating_sub(horizon_ns) / 1000,
-                        srv.pipeline.demux.unmatched
-                    );
-                    let mut cores: Vec<_> = srv.cores.iter().collect();
-                    cores.sort_by_key(|(c, _)| **c);
-                    for (c, st) in cores {
-                        eprintln!(
-                            "END core[{c}] backlog={}us",
-                            st.free_at.saturating_sub(horizon_ns) / 1000
-                        );
-                    }
-                    for inst in &srv.pipeline.instances {
-                        eprintln!(
-                            "END inst sg{} r{} core{} in={} nf_drops={}",
-                            inst.subgroup_idx,
-                            inst.replica,
-                            inst.core,
-                            inst.runtime.packets_in(),
-                            inst.runtime.packets_dropped()
-                        );
-                    }
-                }
-            }
-        }
         // Finalize rates. The latency mean divides by the count of
         // *latency-carrying* deliveries (identical to delivered_packets
         // in pure packet-level runs).
@@ -2103,14 +2058,6 @@ fn drop_packet(
         // The ledger is unconditional — every injected packet lands in
         // exactly one bucket regardless of warmup windows.
         ledger.record_drop(reason);
-        if std::env::var("LEMUR_DBG").is_ok() {
-            eprintln!(
-                "DROP chain={} hops={} t_in={}us reason={reason:?}",
-                p.chain,
-                p.hops,
-                p.t_in / 1000
-            );
-        }
         if p.t_in >= warmup_ns && p.t_in < horizon_ns {
             stats[p.chain].record_drop(reason);
             window_acc[p.chain].drops += 1;
@@ -2225,12 +2172,13 @@ fn nic_hop(
     now: u64,
     config: &SimConfig,
 ) -> Result<u64, DropReason> {
-    let mut frame = p.buf.as_slice().to_vec();
-    let result = Vm::run(&nic.program, &mut frame).map_err(|_| DropReason::Verdict)?;
+    // The VM rewrites the packet's own buffer. A program that errors or
+    // does not return `Tx` gets the packet dropped by the caller, so a
+    // partially rewritten frame is never observed.
+    let result = Vm::run(&nic.program, p.buf.as_mut_slice()).map_err(|_| DropReason::Verdict)?;
     if result.verdict != XdpVerdict::Tx {
         return Err(DropReason::Verdict);
     }
-    p.buf = PacketBuf::from_bytes(&frame);
     // One VM step ≈ one NFP cycle.
     let service_ns = (result.steps as f64 / nic.clock_hz * 1e9) as u64;
     nic.proc

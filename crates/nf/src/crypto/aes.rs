@@ -2,11 +2,18 @@
 //!
 //! Lemur's `Encrypt`/`Decrypt` NFs are specified as 128-bit AES-CBC
 //! (Table 3). We implement the cipher from scratch rather than pulling a
-//! crypto crate; the S-box and round constants are derived at first use from
-//! the GF(2⁸) arithmetic definition, which keeps the tables typo-proof.
+//! crypto crate. The block functions are table-driven: a round is four
+//! lookups and four XORs per state column over the `Te`/`Td` tables, which
+//! fold SubBytes, ShiftRows and MixColumns (FIPS-197 §5.1, §5.3.5 "equivalent
+//! inverse cipher") into one `u32` per input byte. Every table — S-box,
+//! inverse S-box, `Te`, `Td` — is derived at first use from the GF(2⁸)
+//! arithmetic definition, never transcribed, which keeps them typo-proof;
+//! the byte-wise textbook rounds live on under `cfg(test)` as the oracle the
+//! table path is checked against.
 //!
-//! This is a reproduction artifact, not a hardened implementation: it is not
-//! constant-time and must not be used to protect real traffic.
+//! This is a reproduction artifact, not a hardened implementation: table
+//! lookups indexed by secret bytes are not constant-time, and it must not be
+//! used to protect real traffic.
 
 use std::sync::OnceLock;
 
@@ -44,8 +51,13 @@ fn ginv(a: u8) -> u8 {
 struct Tables {
     sbox: [u8; 256],
     inv_sbox: [u8; 256],
-    /// GF multiplication tables for the MixColumns constants.
-    mul: [[u8; 256]; 16],
+    /// `te[0][x]` is the MixColumns image of the column `(S[x], 0, 0, 0)`,
+    /// i.e. the bytes `(2·S[x], S[x], S[x], 3·S[x])` packed big-endian;
+    /// `te[k]` is `te[0]` rotated right by `k` bytes (row `k`'s share).
+    te: [[u32; 256]; 4],
+    /// The same for InvMixColumns over the inverse S-box:
+    /// `td[0][x] = (14·S⁻¹[x], 9·S⁻¹[x], 13·S⁻¹[x], 11·S⁻¹[x])`.
+    td: [[u32; 256]; 4],
 }
 
 fn tables() -> &'static Tables {
@@ -65,85 +77,246 @@ fn tables() -> &'static Tables {
             *slot = s;
             inv_sbox[s as usize] = i as u8;
         }
-        let mut mul = [[0u8; 256]; 16];
-        for c in [2usize, 3, 9, 11, 13, 14] {
-            for (b, slot) in mul[c].iter_mut().enumerate() {
-                *slot = gmul(c as u8, b as u8);
+        let mut te = [[0u32; 256]; 4];
+        let mut td = [[0u32; 256]; 4];
+        for x in 0..256 {
+            let s = sbox[x];
+            let e = u32::from_be_bytes([gmul(2, s), s, s, gmul(3, s)]);
+            let i = inv_sbox[x];
+            let d = u32::from_be_bytes([gmul(14, i), gmul(9, i), gmul(13, i), gmul(11, i)]);
+            for k in 0..4 {
+                te[k][x] = e.rotate_right(8 * k as u32);
+                td[k][x] = d.rotate_right(8 * k as u32);
             }
         }
         Box::new(Tables {
             sbox,
             inv_sbox,
-            mul,
+            te,
+            td,
         })
     })
-}
-
-#[inline]
-fn m(t: &Tables, c: usize, b: u8) -> u8 {
-    t.mul[c][b as usize]
 }
 
 /// Number of 32-bit words in the key (AES-128).
 const NK: usize = 4;
 /// Number of rounds (AES-128).
 const NR: usize = 10;
+/// Cipher block size in bytes.
+pub const BLOCK: usize = 16;
 
 /// An expanded AES-128 key.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; NR + 1],
+    /// Round keys as big-endian column words, four per round.
+    enc_keys: [u32; 4 * (NR + 1)],
+    /// Round keys of the equivalent inverse cipher: `enc_keys` in reverse
+    /// round order, the middle rounds passed through InvMixColumns.
+    dec_keys: [u32; 4 * (NR + 1)],
+}
+
+/// Byte `k` of a column word (row `k` of that column), as a table index.
+#[inline(always)]
+fn row(w: u32, k: usize) -> usize {
+    w.to_be_bytes()[k] as usize
+}
+
+/// Apply a byte substitution to each byte of a word.
+#[inline(always)]
+fn sub_word(sbox: &[u8; 256], w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| sbox[b as usize]))
+}
+
+/// The ten rounds over one block. `SHIFT` is how far ShiftRows moves row 1
+/// in the table-lookup view: output column `c` takes row `k` from input
+/// column `c + k·SHIFT` — 1 for the cipher, 3 (= −1 mod 4) for the
+/// equivalent inverse cipher, which is the same code over `td`, the
+/// inverse S-box and the inverse key schedule.
+#[inline(always)]
+fn rounds<const SHIFT: usize>(
+    table: &[[u32; 256]; 4],
+    sbox: &[u8; 256],
+    rk: &[u32; 4 * (NR + 1)],
+    block: &mut [u8; BLOCK],
+) {
+    let mut s = [0u32; 4];
+    for c in 0..4 {
+        let col = [
+            block[4 * c],
+            block[4 * c + 1],
+            block[4 * c + 2],
+            block[4 * c + 3],
+        ];
+        s[c] = u32::from_be_bytes(col) ^ rk[c];
+    }
+    for r in 1..NR {
+        let mut t = [0u32; 4];
+        for c in 0..4 {
+            t[c] = (table[0][row(s[c], 0)] ^ table[1][row(s[(c + SHIFT) % 4], 1)])
+                ^ (table[2][row(s[(c + 2 * SHIFT) % 4], 2)]
+                    ^ table[3][row(s[(c + 3 * SHIFT) % 4], 3)])
+                ^ rk[4 * r + c];
+        }
+        s = t;
+    }
+    // Last round: no MixColumns, so plain S-box bytes.
+    for c in 0..4 {
+        let col = [
+            sbox[row(s[c], 0)],
+            sbox[row(s[(c + SHIFT) % 4], 1)],
+            sbox[row(s[(c + 2 * SHIFT) % 4], 2)],
+            sbox[row(s[(c + 3 * SHIFT) % 4], 3)],
+        ];
+        let out = u32::from_be_bytes(col) ^ rk[4 * NR + c];
+        block[4 * c..4 * c + 4].copy_from_slice(&out.to_be_bytes());
+    }
 }
 
 impl Aes128 {
     /// Expand a 16-byte key.
     pub fn new(key: &[u8; 16]) -> Aes128 {
         let t = tables();
-        let mut w = [[0u8; 4]; 4 * (NR + 1)];
+        let mut w = [0u32; 4 * (NR + 1)];
         for i in 0..NK {
-            w[i].copy_from_slice(&key[4 * i..4 * i + 4]);
+            w[i] = u32::from_be_bytes([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
         }
         let mut rcon = 1u8;
         for i in NK..4 * (NR + 1) {
             let mut temp = w[i - 1];
             if i % NK == 0 {
-                temp.rotate_left(1);
-                for b in temp.iter_mut() {
-                    *b = t.sbox[*b as usize];
-                }
-                temp[0] ^= rcon;
+                temp = sub_word(&t.sbox, temp.rotate_left(8)) ^ (u32::from(rcon) << 24);
                 rcon = gmul(rcon, 2);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - NK][j] ^ temp[j];
-            }
+            w[i] = w[i - NK] ^ temp;
         }
-        let mut round_keys = [[0u8; 16]; NR + 1];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
+        let mut dec_keys = [0u32; 4 * (NR + 1)];
+        for r in 0..=NR {
             for c in 0..4 {
-                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
+                let k = w[4 * (NR - r) + c];
+                dec_keys[4 * r + c] = if r == 0 || r == NR {
+                    k
+                } else {
+                    // InvMixColumns(k): `td` already applies S⁻¹, so feed
+                    // it S[byte] to cancel the substitution.
+                    let k = sub_word(&t.sbox, k);
+                    t.td[0][row(k, 0)]
+                        ^ t.td[1][row(k, 1)]
+                        ^ t.td[2][row(k, 2)]
+                        ^ t.td[3][row(k, 3)]
+                };
             }
         }
-        Aes128 { round_keys }
-    }
-
-    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-        for (s, k) in state.iter_mut().zip(rk) {
-            *s ^= k;
+        Aes128 {
+            enc_keys: w,
+            dec_keys,
         }
     }
 
-    fn sub_bytes(state: &mut [u8; 16]) {
+    /// Encrypt one 16-byte block in place.
+    pub fn encrypt_block(&self, block: &mut [u8; BLOCK]) {
         let t = tables();
-        for b in state.iter_mut() {
-            *b = t.sbox[*b as usize];
+        rounds::<1>(&t.te, &t.sbox, &self.enc_keys, block);
+    }
+
+    /// Decrypt one 16-byte block in place.
+    pub fn decrypt_block(&self, block: &mut [u8; BLOCK]) {
+        let t = tables();
+        rounds::<3>(&t.td, &t.inv_sbox, &self.dec_keys, block);
+    }
+}
+
+/// Bytes of PKCS#7 padding a `len`-byte plaintext takes (1..=16).
+pub fn pkcs7_pad_len(len: usize) -> usize {
+    BLOCK - len % BLOCK
+}
+
+fn xor_block(dst: &mut [u8; BLOCK], src: &[u8; BLOCK]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
+}
+
+/// AES-128-CBC over an already padded buffer, in place: `buf` holds whole
+/// plaintext blocks on entry and the ciphertext on return.
+///
+/// # Panics
+/// If `buf.len()` is not a multiple of 16 — the caller owns the padding.
+pub fn cbc_encrypt_in_place(key: &Aes128, iv: &[u8; BLOCK], buf: &mut [u8]) {
+    let (blocks, rest) = buf.as_chunks_mut::<BLOCK>();
+    assert!(rest.is_empty(), "CBC buffer must hold whole blocks");
+    let mut prev = *iv;
+    for block in blocks {
+        xor_block(block, &prev);
+        key.encrypt_block(block);
+        prev = *block;
+    }
+}
+
+/// Decrypt AES-128-CBC ciphertext with PKCS#7 padding in place. On success
+/// the plaintext occupies `buf[..n]` for the returned `n`. On a malformed
+/// length or padding returns `None` and leaves `buf` untouched: blocks are
+/// decrypted last to first (each needs only the still-intact ciphertext
+/// block before it), so the padding is checked before anything is written.
+pub fn cbc_decrypt_in_place(key: &Aes128, iv: &[u8; BLOCK], buf: &mut [u8]) -> Option<usize> {
+    let (blocks, rest) = buf.as_chunks_mut::<BLOCK>();
+    if blocks.is_empty() || !rest.is_empty() {
+        return None;
+    }
+    let last = blocks.len() - 1;
+    let mut pad = 0;
+    for i in (0..=last).rev() {
+        let prev = if i == 0 { *iv } else { blocks[i - 1] };
+        let mut plain = blocks[i];
+        key.decrypt_block(&mut plain);
+        xor_block(&mut plain, &prev);
+        if i == last {
+            pad = plain[BLOCK - 1] as usize;
+            if pad == 0 || pad > BLOCK || plain[BLOCK - pad..].iter().any(|&b| b != pad as u8) {
+                return None;
+            }
+        }
+        blocks[i] = plain;
+    }
+    Some(buf.len() - pad)
+}
+
+/// Encrypt `data` with AES-128-CBC and PKCS#7 padding, returning the
+/// ciphertext (always a multiple of 16 bytes, ≥ data.len()+1).
+pub fn cbc_encrypt(key: &Aes128, iv: &[u8; BLOCK], data: &[u8]) -> Vec<u8> {
+    let pad = pkcs7_pad_len(data.len());
+    let mut out = Vec::with_capacity(data.len() + pad);
+    out.extend_from_slice(data);
+    out.extend(std::iter::repeat_n(pad as u8, pad));
+    cbc_encrypt_in_place(key, iv, &mut out);
+    out
+}
+
+/// Decrypt AES-128-CBC ciphertext with PKCS#7 padding. Returns `None` on a
+/// malformed length or padding.
+pub fn cbc_decrypt(key: &Aes128, iv: &[u8; BLOCK], data: &[u8]) -> Option<Vec<u8>> {
+    let mut out = data.to_vec();
+    let n = cbc_decrypt_in_place(key, iv, &mut out)?;
+    out.truncate(n);
+    Some(out)
+}
+
+/// The textbook cipher of FIPS-197 §5.1/§5.3, one byte-wise transformation
+/// per function: the differential oracle for the table-driven rounds.
+#[cfg(test)]
+mod textbook {
+    use super::{gmul, tables, Aes128, NR};
+
+    fn add_round_key(state: &mut [u8; 16], rk: &[u32]) {
+        for (c, w) in rk.iter().enumerate() {
+            for (r, k) in w.to_be_bytes().iter().enumerate() {
+                state[4 * c + r] ^= k;
+            }
         }
     }
 
-    fn inv_sub_bytes(state: &mut [u8; 16]) {
-        let t = tables();
+    fn sub_bytes(state: &mut [u8; 16], sbox: &[u8; 256]) {
         for b in state.iter_mut() {
-            *b = t.inv_sbox[*b as usize];
+            *b = sbox[*b as usize];
         }
     }
 
@@ -166,125 +339,81 @@ impl Aes128 {
         }
     }
 
-    fn mix_columns(state: &mut [u8; 16]) {
-        let t = tables();
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] = m(t, 2, col[0]) ^ m(t, 3, col[1]) ^ col[2] ^ col[3];
-            state[4 * c + 1] = col[0] ^ m(t, 2, col[1]) ^ m(t, 3, col[2]) ^ col[3];
-            state[4 * c + 2] = col[0] ^ col[1] ^ m(t, 2, col[2]) ^ m(t, 3, col[3]);
-            state[4 * c + 3] = m(t, 3, col[0]) ^ col[1] ^ col[2] ^ m(t, 2, col[3]);
+    /// Multiply every column by the circulant matrix whose first row is `m`.
+    fn mix_columns(state: &mut [u8; 16], m: [u8; 4]) {
+        for col in state.chunks_exact_mut(4) {
+            let a = [col[0], col[1], col[2], col[3]];
+            for (r, out) in col.iter_mut().enumerate() {
+                *out = (0..4).fold(0, |acc, j| acc ^ gmul(m[(4 + j - r) % 4], a[j]));
+            }
         }
     }
 
-    fn inv_mix_columns(state: &mut [u8; 16]) {
-        let t = tables();
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] = m(t, 14, col[0]) ^ m(t, 11, col[1]) ^ m(t, 13, col[2]) ^ m(t, 9, col[3]);
-            state[4 * c + 1] =
-                m(t, 9, col[0]) ^ m(t, 14, col[1]) ^ m(t, 11, col[2]) ^ m(t, 13, col[3]);
-            state[4 * c + 2] =
-                m(t, 13, col[0]) ^ m(t, 9, col[1]) ^ m(t, 14, col[2]) ^ m(t, 11, col[3]);
-            state[4 * c + 3] =
-                m(t, 11, col[0]) ^ m(t, 13, col[1]) ^ m(t, 9, col[2]) ^ m(t, 14, col[3]);
+    pub(super) fn encrypt_block(key: &Aes128, block: &mut [u8; 16]) {
+        let (t, rk) = (tables(), &key.enc_keys);
+        add_round_key(block, &rk[..4]);
+        for r in 1..=NR {
+            sub_bytes(block, &t.sbox);
+            shift_rows(block);
+            if r < NR {
+                mix_columns(block, [2, 3, 1, 1]);
+            }
+            add_round_key(block, &rk[4 * r..4 * r + 4]);
         }
     }
 
-    /// Encrypt one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[0]);
-        for r in 1..NR {
-            Self::sub_bytes(block);
-            Self::shift_rows(block);
-            Self::mix_columns(block);
-            Self::add_round_key(block, &self.round_keys[r]);
+    pub(super) fn decrypt_block(key: &Aes128, block: &mut [u8; 16]) {
+        let (t, rk) = (tables(), &key.enc_keys);
+        add_round_key(block, &rk[4 * NR..]);
+        for r in (0..NR).rev() {
+            inv_shift_rows(block);
+            sub_bytes(block, &t.inv_sbox);
+            add_round_key(block, &rk[4 * r..4 * r + 4]);
+            if r > 0 {
+                mix_columns(block, [14, 11, 13, 9]);
+            }
         }
-        Self::sub_bytes(block);
-        Self::shift_rows(block);
-        Self::add_round_key(block, &self.round_keys[NR]);
     }
-
-    /// Decrypt one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[NR]);
-        for r in (1..NR).rev() {
-            Self::inv_shift_rows(block);
-            Self::inv_sub_bytes(block);
-            Self::add_round_key(block, &self.round_keys[r]);
-            Self::inv_mix_columns(block);
-        }
-        Self::inv_shift_rows(block);
-        Self::inv_sub_bytes(block);
-        Self::add_round_key(block, &self.round_keys[0]);
-    }
-}
-
-/// Encrypt `data` with AES-128-CBC and PKCS#7 padding, returning the
-/// ciphertext (always a multiple of 16 bytes, ≥ data.len()+1).
-pub fn cbc_encrypt(key: &Aes128, iv: &[u8; 16], data: &[u8]) -> Vec<u8> {
-    let pad = 16 - data.len() % 16;
-    let mut out = Vec::with_capacity(data.len() + pad);
-    out.extend_from_slice(data);
-    out.extend(std::iter::repeat_n(pad as u8, pad));
-    let mut prev = *iv;
-    for chunk in out.chunks_exact_mut(16) {
-        let mut block = [0u8; 16];
-        block.copy_from_slice(chunk);
-        for (b, p) in block.iter_mut().zip(&prev) {
-            *b ^= p;
-        }
-        key.encrypt_block(&mut block);
-        chunk.copy_from_slice(&block);
-        prev = block;
-    }
-    out
-}
-
-/// Decrypt AES-128-CBC ciphertext with PKCS#7 padding. Returns `None` on a
-/// malformed length or padding.
-pub fn cbc_decrypt(key: &Aes128, iv: &[u8; 16], data: &[u8]) -> Option<Vec<u8>> {
-    if data.is_empty() || !data.len().is_multiple_of(16) {
-        return None;
-    }
-    let mut out = data.to_vec();
-    let mut prev = *iv;
-    for chunk in out.chunks_exact_mut(16) {
-        let Ok(cipher) = <[u8; 16]>::try_from(&*chunk) else {
-            return None;
-        };
-        let mut block = cipher;
-        key.decrypt_block(&mut block);
-        for (b, p) in block.iter_mut().zip(&prev) {
-            *b ^= p;
-        }
-        chunk.copy_from_slice(&block);
-        prev = cipher;
-    }
-    let pad = *out.last()? as usize;
-    if pad == 0 || pad > 16 || pad > out.len() {
-        return None;
-    }
-    if !out[out.len() - pad..].iter().all(|&b| b == pad as u8) {
-        return None;
-    }
-    out.truncate(out.len() - pad);
-    Some(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The table-driven rounds equal the byte-wise textbook cipher (the
+        /// straight inverse cipher, not the equivalent one) on any input.
+        #[test]
+        fn table_rounds_match_textbook(key in any::<[u8; 16]>(), block in any::<[u8; 16]>()) {
+            let aes = Aes128::new(&key);
+            let (mut fast, mut slow) = (block, block);
+            aes.encrypt_block(&mut fast);
+            textbook::encrypt_block(&aes, &mut slow);
+            prop_assert_eq!(fast, slow);
+            let (mut fast, mut slow) = (block, block);
+            aes.decrypt_block(&mut fast);
+            textbook::decrypt_block(&aes, &mut slow);
+            prop_assert_eq!(fast, slow);
+        }
+    }
+
+    #[test]
+    fn in_place_cbc_matches_vec_wrappers_and_keeps_bad_input_intact() {
+        let key = Aes128::new(b"0123456789abcdef");
+        let iv = [0x42u8; 16];
+        let data: Vec<u8> = (0..77u8).collect();
+        let ct = cbc_encrypt(&key, &iv, &data);
+        let mut buf = ct.clone();
+        assert_eq!(cbc_decrypt_in_place(&key, &iv, &mut buf), Some(data.len()));
+        assert_eq!(&buf[..data.len()], &data[..]);
+        // A corrupted last block fails the padding check before any write.
+        let mut bad = ct.clone();
+        *bad.last_mut().unwrap() ^= 0x80;
+        let before = bad.clone();
+        assert_eq!(cbc_decrypt_in_place(&key, &iv, &mut bad), None);
+        assert_eq!(bad, before);
+    }
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len())

@@ -1,11 +1,15 @@
 //! From-scratch cryptographic primitives for the crypto NFs.
 //!
 //! Reproduction-quality implementations validated against FIPS-197 /
-//! SP 800-38A (AES-128, CBC) and RFC 8439 (ChaCha20) test vectors. Not
-//! constant-time; not for production use.
+//! SP 800-38A (AES-128, CBC) and RFC 8439 (ChaCha20) test vectors. AES is
+//! table-driven, with every table derived from the GF(2⁸) definition at
+//! first use rather than transcribed; one portable code path, no hardware
+//! AES. Not constant-time; not for real traffic.
 
 pub mod aes;
 pub mod chacha;
 
-pub use aes::{cbc_decrypt, cbc_encrypt, Aes128};
+pub use aes::{
+    cbc_decrypt, cbc_decrypt_in_place, cbc_encrypt, cbc_encrypt_in_place, pkcs7_pad_len, Aes128,
+};
 pub use chacha::ChaCha20;

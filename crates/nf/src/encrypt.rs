@@ -5,94 +5,11 @@
 //! changes (CBC padding, the prepended IV) are propagated into the IP
 //! total-length and UDP length fields, and checksums are recomputed.
 
-use crate::crypto::{cbc_decrypt, cbc_encrypt, Aes128, ChaCha20};
+use crate::crypto::aes::BLOCK;
+use crate::crypto::{cbc_decrypt_in_place, cbc_encrypt_in_place, pkcs7_pad_len, Aes128, ChaCha20};
+use crate::payload::Layout;
 use crate::{NetworkFunction, NfCtx, NfKind, NfParams, Verdict};
-use lemur_packet::ethernet::{self, EtherType};
-use lemur_packet::ipv4::Protocol;
-use lemur_packet::{ipv4, tcp, udp, vlan, PacketBuf};
-
-/// Byte offsets describing where the L3/L4 layers sit in a frame.
-struct Layout {
-    /// Offset of the IPv4 header within the frame.
-    l3: usize,
-    /// Offset of the L4 header.
-    l4: usize,
-    /// Offset of the L4 payload.
-    payload: usize,
-    protocol: Protocol,
-}
-
-fn layout(frame: &[u8]) -> Option<Layout> {
-    let eth = ethernet::Frame::new_checked(frame).ok()?;
-    let l3 = match eth.ethertype() {
-        EtherType::Ipv4 => ethernet::HEADER_LEN,
-        EtherType::Vlan => {
-            let tag = vlan::Tag::new_checked(eth.payload()).ok()?;
-            if tag.inner_ethertype() != EtherType::Ipv4 {
-                return None;
-            }
-            ethernet::HEADER_LEN + vlan::TAG_LEN
-        }
-        _ => return None,
-    };
-    let ip = ipv4::Packet::new_checked(&frame[l3..]).ok()?;
-    let l4 = l3 + ip.header_len() as usize;
-    let payload = match ip.protocol() {
-        Protocol::Udp => l4 + udp::HEADER_LEN,
-        Protocol::Tcp => {
-            let t = tcp::Packet::new_checked(&frame[l4..]).ok()?;
-            l4 + t.header_len() as usize
-        }
-        _ => return None,
-    };
-    if payload > frame.len() {
-        return None;
-    }
-    Some(Layout {
-        l3,
-        l4,
-        payload,
-        protocol: ip.protocol(),
-    })
-}
-
-/// Replace the L4 payload with `new_payload`, fixing lengths and checksums.
-fn replace_payload(pkt: &mut PacketBuf, lay: &Layout, new_payload: &[u8]) {
-    pkt.truncate(lay.payload);
-    pkt.extend_tail(new_payload);
-    fix_lengths_and_checksums(pkt, lay);
-}
-
-/// Recompute IP total length, UDP length, and L3/L4 checksums after the
-/// payload was modified in place or replaced.
-fn fix_lengths_and_checksums(pkt: &mut PacketBuf, lay: &Layout) {
-    let frame_len = pkt.len();
-    let ip_total = (frame_len - lay.l3) as u16;
-    let l4_len = (frame_len - lay.l4) as u16;
-    let (l3, l4, protocol) = (lay.l3, lay.l4, lay.protocol);
-    let data = pkt.as_mut_slice();
-    let (src, dst) = {
-        let ip = ipv4::Packet::new_unchecked(&data[l3..]);
-        (ip.src(), ip.dst())
-    };
-    {
-        let mut ip = ipv4::Packet::new_unchecked(&mut data[l3..]);
-        ip.set_total_len(ip_total);
-        ip.fill_checksum();
-    }
-    match protocol {
-        Protocol::Udp => {
-            let mut u = udp::Packet::new_unchecked(&mut data[l4..]);
-            u.set_length(l4_len);
-            u.fill_checksum(src, dst);
-        }
-        Protocol::Tcp => {
-            let mut t = tcp::Packet::new_unchecked(&mut data[l4..]);
-            t.fill_checksum(src, dst);
-        }
-        _ => {}
-    }
-}
+use lemur_packet::{ipv4, PacketBuf};
 
 /// Derive a deterministic per-packet IV from header bytes and a counter.
 /// Real deployments would use random IVs; determinism keeps experiments
@@ -149,18 +66,24 @@ impl NetworkFunction for Encrypt {
         NfKind::Encrypt
     }
 
+    /// Works inside the packet's own buffer: the IV is spliced in front of
+    /// the payload (the headers shift into headroom), the PKCS#7 pad is
+    /// appended, and the payload is enciphered where it lies.
     fn process(&mut self, _ctx: &NfCtx, pkt: &mut PacketBuf) -> Verdict {
-        let Some(lay) = layout(pkt.as_slice()) else {
+        let Some(lay) = Layout::parse(pkt.as_slice()) else {
             return Verdict::Drop;
         };
         let iv = derive_iv(pkt.as_slice(), self.counter);
         self.counter = self.counter.wrapping_add(1);
-        let plain = pkt.as_slice()[lay.payload..].to_vec();
-        let cipher = cbc_encrypt(&self.key, &iv, &plain);
-        let mut new_payload = Vec::with_capacity(16 + cipher.len());
-        new_payload.extend_from_slice(&iv);
-        new_payload.extend_from_slice(&cipher);
-        replace_payload(pkt, &lay, &new_payload);
+        let pad = pkcs7_pad_len(pkt.len() - lay.payload);
+        pkt.insert_at(lay.payload, &iv);
+        pkt.extend_tail(&[pad as u8; BLOCK][..pad]);
+        cbc_encrypt_in_place(
+            &self.key,
+            &iv,
+            &mut pkt.as_mut_slice()[lay.payload + BLOCK..],
+        );
+        lay.fix_lengths_and_checksums(pkt);
         Verdict::Forward
     }
 
@@ -196,21 +119,23 @@ impl NetworkFunction for Decrypt {
         NfKind::Decrypt
     }
 
+    /// Deciphers inside the packet's own buffer, then drops the IV and the
+    /// pad. A packet that fails the length or padding check is dropped
+    /// with its bytes untouched.
     fn process(&mut self, _ctx: &NfCtx, pkt: &mut PacketBuf) -> Verdict {
-        let Some(lay) = layout(pkt.as_slice()) else {
+        let Some(lay) = Layout::parse(pkt.as_slice()) else {
             return Verdict::Drop;
         };
-        let payload = &pkt.as_slice()[lay.payload..];
-        if payload.len() < 16 {
-            return Verdict::Drop;
-        }
-        let Ok(iv) = <[u8; 16]>::try_from(&payload[..16]) else {
+        let Some((iv, cipher)) = pkt.as_mut_slice()[lay.payload..].split_first_chunk_mut::<BLOCK>()
+        else {
             return Verdict::Drop;
         };
-        let Some(plain) = cbc_decrypt(&self.key, &iv, &payload[16..]) else {
+        let Some(plain_len) = cbc_decrypt_in_place(&self.key, iv, cipher) else {
             return Verdict::Drop;
         };
-        replace_payload(pkt, &lay, &plain);
+        pkt.remove_at_discard(lay.payload, BLOCK);
+        pkt.truncate(lay.payload + plain_len);
+        lay.fix_lengths_and_checksums(pkt);
         Verdict::Forward
     }
 
@@ -257,14 +182,14 @@ impl NetworkFunction for FastEncrypt {
     }
 
     fn process(&mut self, _ctx: &NfCtx, pkt: &mut PacketBuf) -> Verdict {
-        let Some(lay) = layout(pkt.as_slice()) else {
+        let Some(lay) = Layout::parse(pkt.as_slice()) else {
             return Verdict::Drop;
         };
         let nonce = Self::nonce_for(pkt.as_slice(), &lay);
         let cipher = ChaCha20::new(&self.key, &nonce);
         let start = lay.payload;
         cipher.apply(1, &mut pkt.as_mut_slice()[start..]);
-        fix_lengths_and_checksums(pkt, &lay);
+        lay.fix_lengths_and_checksums(pkt);
         Verdict::Forward
     }
 
@@ -278,6 +203,7 @@ mod tests {
     use super::*;
     use lemur_packet::builder::udp_packet;
     use lemur_packet::flow::FiveTuple;
+    use lemur_packet::{ethernet, udp};
 
     fn pkt(payload: &[u8]) -> PacketBuf {
         udp_packet(
@@ -292,7 +218,7 @@ mod tests {
     }
 
     fn payload_of(p: &PacketBuf) -> Vec<u8> {
-        let lay = layout(p.as_slice()).unwrap();
+        let lay = Layout::parse(p.as_slice()).unwrap();
         p.as_slice()[lay.payload..].to_vec()
     }
 

@@ -37,6 +37,7 @@ pub mod matchnf;
 pub mod monitor;
 pub mod nat;
 pub mod params;
+mod payload;
 pub mod snapshot;
 pub mod tunnel;
 pub mod urlfilter;
