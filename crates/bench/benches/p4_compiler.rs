@@ -3,12 +3,13 @@
 //! heuristic by the cost of these invocations).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lemur_core::chains::extreme_nat_chain;
+use lemur_core::chains::{extreme_nat_chain, CanonicalChain::*};
 use lemur_core::graph::ChainSpec;
 use lemur_core::Slo;
 use lemur_metacompiler::{p4gen, routing};
 use lemur_p4sim::compiler::{compile, estimate_conservative, CompileOptions};
 use lemur_p4sim::PisaModel;
+use lemur_placer::oracle::StageOracle;
 use lemur_placer::placement::PlacementProblem;
 use lemur_placer::profiles::NfProfiles;
 use lemur_placer::topology::Topology;
@@ -69,6 +70,25 @@ fn bench_synthesis(c: &mut Criterion) {
     });
 }
 
+fn bench_set_a(c: &mut Criterion) {
+    // Figure-2 set a under the HW-preferred placement: what one stage
+    // oracle call costs (routing plan + synthesis + stage packing), and
+    // the synthesis share of it.
+    let (p, _) =
+        lemur_bench::build_problem(&[Chain1, Chain2, Chain3, Chain4], 1.0, Topology::testbed());
+    let a = lemur_placer::baselines::hw_preferred_assignment(&p);
+    c.bench_function("synthesize_set_a", |b| {
+        b.iter(|| {
+            let plan = routing::plan(&p, &a);
+            p4gen::synthesize(&p, &a, &plan, p4gen::P4GenOptions::default()).unwrap()
+        });
+    });
+    let oracle = lemur_bench::compiler_oracle();
+    c.bench_function("oracle_check_set_a", |b| {
+        b.iter(|| oracle.check(&p, &a));
+    });
+}
+
 /// Short measurement windows: these benches exist to regenerate the
 /// paper's cost comparisons, not to chase nanosecond precision.
 fn quick_config() -> Criterion {
@@ -81,6 +101,6 @@ fn quick_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick_config();
-    targets = bench_compile, bench_synthesis
+    targets = bench_compile, bench_synthesis, bench_set_a
 }
 criterion_main!(benches);

@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lemur_bench::{build_problem, cached_compiler_oracle, compiler_oracle};
 use lemur_core::chains::CanonicalChain::{self, *};
 use lemur_placer::brute::BruteConfig;
-use lemur_placer::oracle::ModelOracle;
+use lemur_placer::oracle::{AlwaysFits, ModelOracle};
 use lemur_placer::topology::Topology;
 
 fn sets() -> Vec<(&'static str, Vec<CanonicalChain>)> {
@@ -46,6 +46,15 @@ fn bench_brute(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+fn bench_brute_expand(c: &mut Criterion) {
+    // Figure-2 set a with an oracle that accepts everything: the beam
+    // expansion and the candidates' LPs, with no compiler in the loop.
+    let (p, _) = build_problem(&[Chain1, Chain2, Chain3, Chain4], 1.0, Topology::testbed());
+    c.bench_function("brute_expand_set_a", |b| {
+        b.iter(|| lemur_placer::brute::optimal(&p, &AlwaysFits, BruteConfig::default()).unwrap());
+    });
 }
 
 fn bench_brute_cached(c: &mut Criterion) {
@@ -115,6 +124,6 @@ fn quick_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick_config();
-    targets = bench_heuristic, bench_brute, bench_brute_cached, bench_stage_oracle, bench_lp
+    targets = bench_heuristic, bench_brute, bench_brute_expand, bench_brute_cached, bench_stage_oracle, bench_lp
 }
 criterion_main!(benches);

@@ -66,15 +66,19 @@ fn synthesize_for(
     assignment: &Assignment,
     model: &PisaModel,
 ) -> Result<P4Program, StageVerdict> {
+    // An unassigned chain, a parser conflict or any other synthesis
+    // failure rejects the placement like an over-full pipeline would.
+    let rejected = StageVerdict::OutOfStages {
+        required: model.num_stages + 1,
+        available: model.num_stages,
+    };
+    if assignment.len() < problem.chains.len() {
+        return Err(rejected);
+    }
     let plan = routing::plan(problem, assignment);
     match p4gen::synthesize(problem, assignment, &plan, options) {
         Ok(s) => Ok(s.program),
-        // Parser conflicts and other synthesis failures reject the
-        // placement like an over-full pipeline would.
-        Err(_) => Err(StageVerdict::OutOfStages {
-            required: model.num_stages + 1,
-            available: model.num_stages,
-        }),
+        Err(_) => Err(rejected),
     }
 }
 

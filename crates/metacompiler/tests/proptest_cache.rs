@@ -13,7 +13,7 @@ use lemur_core::chains::{canonical_chain, CanonicalChain};
 use lemur_core::graph::ChainSpec;
 use lemur_core::Slo;
 use lemur_metacompiler::{CachedCompilerOracle, CompilerOracle};
-use lemur_placer::oracle::StageOracle;
+use lemur_placer::oracle::{StageOracle, StageVerdict};
 use lemur_placer::placement::{Assignment, PlacementProblem};
 use lemur_placer::profiles::{NfProfiles, Platform};
 use lemur_placer::topology::Topology;
@@ -96,5 +96,58 @@ proptest! {
         let cached_naive = CachedCompilerOracle::naive();
         prop_assert_eq!(cached_naive.check(&p, &a), want_naive.clone());
         prop_assert_eq!(cached_naive.check(&p, &a), want_naive);
+    }
+}
+
+/// The oracle no longer renders source on its way to a verdict; its
+/// verdicts must not have moved. 200 draws of the generator above under
+/// both code-generation modes, folded into one FNV-1a digest that was
+/// recorded from the build that still rendered eagerly (77 of the 400
+/// verdicts are `Fits`).
+#[test]
+fn verdicts_equal_the_eagerly_rendering_oracle() {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut draw = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fits = 0;
+    for _ in 0..200 {
+        let picks: Vec<usize> = (0..1 + draw() % 3).map(|_| draw() % 5).collect();
+        let seeds: Vec<u8> = (0..8 + draw() % 56).map(|_| draw() as u8).collect();
+        let p = build_problem(&picks);
+        let a = build_assignment(&p, &seeds);
+        for (fresh, cached) in [
+            (CompilerOracle::new(), CachedCompilerOracle::new()),
+            (CompilerOracle::naive(), CachedCompilerOracle::naive()),
+        ] {
+            let verdict = fresh.check(&p, &a);
+            assert_eq!(cached.check(&p, &a), verdict);
+            fits += usize::from(matches!(verdict, StageVerdict::Fits { .. }));
+            for b in format!("{verdict:?}").bytes() {
+                digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(fits, 77);
+    assert_eq!(digest, 0xcc6d_7e1e_f42a_5569);
+}
+
+/// An assignment with fewer entries than chains is rejected, not indexed.
+#[test]
+fn short_assignment_is_rejected() {
+    let p = build_problem(&[2, 4]);
+    let mut a = build_assignment(&p, &[1, 2, 3]);
+    a.pop();
+    for a in [a, Vec::new()] {
+        for verdict in [
+            CompilerOracle::new().check(&p, &a),
+            CachedCompilerOracle::new().check(&p, &a),
+        ] {
+            assert!(matches!(verdict, StageVerdict::OutOfStages { .. }));
+        }
     }
 }

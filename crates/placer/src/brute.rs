@@ -5,15 +5,25 @@
 //! via the LP, and (d) walks the ranking calling the PISA compiler until a
 //! placement fits the stages. Exhaustive enumeration took ~4 hours for the
 //! 4-chain configuration on the authors' machine; like theirs, our search
-//! ranks cheaply first and only runs the LP + compiler on the best
-//! candidates. A configurable beam bounds the combinatorics (the default
-//! is effectively exhaustive for ≤ 2 chains).
+//! only runs the LP + compiler on the best candidates. A beam over the
+//! chains (effectively exhaustive for ≤ 2 chains at the default width)
+//! ranks partial placements by a no-LP estimate first.
+//!
+//! A chain's capability check and subgroups depend on that chain's
+//! `(pattern, server)` choice alone, so they are computed once per chain
+//! into a table ([`chain_table`]). A beam partial carries its chosen
+//! indices and its prefix subgroups; scoring a successor is core
+//! allocation + estimate over `prefix subgroups ++ table entry` — the very
+//! vector [`PlacementProblem::form_subgroups`] would build for the full
+//! assignment, because it emits subgroups chain by chain and
+//! [`corealloc::allocate`] resets every core count first. Assignments are
+//! built only for the ranked candidates that get the LP.
 
 use crate::corealloc::{self, CoreStrategy};
 use crate::oracle::{CountingOracle, StageOracle, StageVerdict};
 use crate::parallel::{parallel_flat_map, parallel_map, Workers};
 use crate::placement::{
-    Assignment, EvaluatedPlacement, PlacementError, PlacementProblem, SearchTelemetry,
+    Assignment, EvaluatedPlacement, PlacementError, PlacementProblem, SearchTelemetry, SubgroupPlan,
 };
 use crate::profiles::{Platform, PlatformClass};
 use crate::topology::Tor;
@@ -127,13 +137,44 @@ pub fn materialize(pattern: &Pattern, server: usize) -> BTreeMap<NodeId, Platfor
         .collect()
 }
 
-/// Cheap (no-LP) score of a full assignment: water-filled marginal
-/// estimate, or `None` if infeasible.
-fn quick_score(problem: &PlacementProblem, assignment: &Assignment) -> Option<f64> {
-    problem.check_capabilities(assignment).ok()?;
-    let mut sgs = problem.form_subgroups(assignment);
-    corealloc::allocate(problem, &mut sgs, CoreStrategy::WaterFill).ok()?;
-    Some(corealloc::quick_estimate(problem, &sgs))
+/// What one chain contributes under each `(pattern, server)` choice, at
+/// index `pattern * n_servers + server`: its subgroups, or `None` when the
+/// pattern puts a node on a platform that cannot run it.
+fn chain_table(
+    problem: &PlacementProblem,
+    ci: usize,
+    patterns: &[Pattern],
+    n_servers: usize,
+) -> Vec<Option<Vec<SubgroupPlan>>> {
+    let fractions = problem.node_fractions(ci);
+    let mut table = Vec::with_capacity(patterns.len() * n_servers);
+    for pattern in patterns {
+        for server in 0..n_servers {
+            let placed = materialize(pattern, server);
+            table.push(
+                problem
+                    .check_chain_capabilities(ci, &placed)
+                    .is_ok()
+                    .then(|| problem.chain_subgroups(ci, &placed, &fractions)),
+            );
+        }
+    }
+    table
+}
+
+/// A beam entry: the [`chain_table`] index chosen for each chain so far and
+/// the subgroups those choices form.
+struct Partial {
+    choices: Vec<usize>,
+    subgroups: Vec<SubgroupPlan>,
+}
+
+/// A scored extension of `beam[parent]` by the next chain's table entry
+/// `choice`.
+struct Successor {
+    parent: usize,
+    choice: usize,
+    score: f64,
 }
 
 /// Run brute-force placement with the environment's worker count
@@ -181,14 +222,9 @@ pub fn optimal_with_workers(
     let mut pruned: u64 = 0;
 
     // Beam over (chains so far) × (server choice per chain).
-    #[derive(Clone)]
-    struct Partial {
-        assignment: Assignment,
-        score: f64,
-    }
-    let mut beam: Vec<Partial> = vec![Partial {
-        assignment: Vec::new(),
-        score: 0.0,
+    let mut beam = vec![Partial {
+        choices: Vec::new(),
+        subgroups: Vec::new(),
     }];
     for (ci, patterns) in per_chain.iter().enumerate() {
         // Score successors against the partial problem (chains 0..=ci).
@@ -197,16 +233,22 @@ pub fn optimal_with_workers(
             problem.topology.clone(),
             problem.profiles.clone(),
         );
-        let generated = beam.len() as u64 * patterns.len() as u64 * n_servers as u64;
-        let mut next: Vec<Partial> = parallel_flat_map(workers, &beam, |_, partial| {
+        let table = chain_table(problem, ci, patterns, n_servers);
+        let generated = beam.len() as u64 * table.len() as u64;
+        let mut next: Vec<Successor> = parallel_flat_map(workers, &beam, |parent, partial| {
+            let prefix = partial.subgroups.len();
+            let mut scratch = partial.subgroups.clone();
             let mut successors = Vec::new();
-            for pattern in patterns {
-                for server in 0..n_servers {
-                    let mut assignment = partial.assignment.clone();
-                    assignment.push(materialize(pattern, server));
-                    if let Some(score) = quick_score(&sub, &assignment) {
-                        successors.push(Partial { assignment, score });
-                    }
+            for (choice, entry) in table.iter().enumerate() {
+                let Some(own) = entry else { continue };
+                scratch.truncate(prefix);
+                scratch.extend_from_slice(own);
+                if corealloc::allocate(&sub, &mut scratch, CoreStrategy::WaterFill).is_ok() {
+                    successors.push(Successor {
+                        parent,
+                        choice,
+                        score: corealloc::quick_estimate(&sub, &scratch),
+                    });
                 }
             }
             successors
@@ -220,16 +262,41 @@ pub fn optimal_with_workers(
         next.sort_by(|a, b| b.score.total_cmp(&a.score));
         pruned += next.len().saturating_sub(config.beam_width) as u64;
         next.truncate(config.beam_width);
-        beam = next;
+        beam = next
+            .iter()
+            .map(|s| {
+                let parent = &beam[s.parent];
+                let own = table[s.choice]
+                    .as_deref()
+                    .expect("scored successors come from feasible table entries");
+                Partial {
+                    choices: [&parent.choices[..], &[s.choice]].concat(),
+                    subgroups: [&parent.subgroups[..], own].concat(),
+                }
+            })
+            .collect();
     }
 
     // Full evaluation + stage oracle on the ranked candidates.
     pruned += beam.len().saturating_sub(config.candidates) as u64;
-    let ranked = &beam[..beam.len().min(config.candidates)];
+    let ranked: Vec<Assignment> = beam
+        .iter()
+        .take(config.candidates)
+        .map(|partial| {
+            partial
+                .choices
+                .iter()
+                .zip(&per_chain)
+                .map(|(&choice, patterns)| {
+                    materialize(&patterns[choice / n_servers], choice % n_servers)
+                })
+                .collect()
+        })
+        .collect();
     let lp_evals = ranked.len() as u64;
-    let outcomes = parallel_map(workers, ranked, |_, partial| {
-        match problem.evaluate(&partial.assignment, CoreStrategy::WaterFill) {
-            Ok(mut out) => match oracle.check(problem, &partial.assignment) {
+    let outcomes = parallel_map(workers, &ranked, |_, assignment| {
+        match problem.evaluate(assignment, CoreStrategy::WaterFill) {
+            Ok(mut out) => match oracle.check(problem, assignment) {
                 StageVerdict::Fits { stages } => {
                     out.stages_used = Some(stages);
                     CandidateOutcome::Fit(Box::new(out))

@@ -20,14 +20,71 @@ pub enum CoreStrategy {
     MinimalOnly,
 }
 
+/// A subgroup's chain-rate capacity (bps) were it given `cores`.
+fn capacity(problem: &PlacementProblem, sg: &SubgroupPlan, cores: usize) -> f64 {
+    sg.capacity_with_cores_bps(cores, problem.topology.servers[sg.server].clock_hz)
+}
+
+/// A chain's bottleneck under the current allocation. `allocate` asks for
+/// it once per chain per step: the chain's capacity now, which subgroup
+/// to grow, and the capacity afterwards all come from one pass.
+struct Bottleneck {
+    /// The first subgroup of minimum capacity.
+    index: usize,
+    /// Its capacity, which is the chain's.
+    cap: f64,
+    /// Minimum capacity over the chain's other subgroups.
+    rest: f64,
+}
+
+impl Bottleneck {
+    /// `None` for a chain with no subgroup: nothing on a server bounds it.
+    fn of(problem: &PlacementProblem, subgroups: &[SubgroupPlan], chain: usize) -> Option<Self> {
+        let mut found: Option<Bottleneck> = None;
+        for (index, sg) in subgroups.iter().enumerate() {
+            if sg.chain != chain {
+                continue;
+            }
+            let cap = capacity(problem, sg, sg.cores);
+            match &mut found {
+                Some(b) if cap < b.cap => {
+                    *b = Bottleneck {
+                        index,
+                        cap,
+                        rest: b.rest.min(b.cap),
+                    }
+                }
+                Some(b) => b.rest = b.rest.min(cap),
+                None => {
+                    found = Some(Bottleneck {
+                        index,
+                        cap,
+                        rest: f64::INFINITY,
+                    })
+                }
+            }
+        }
+        found
+    }
+
+    /// Can the bottleneck take one more core (replicable, with a free core
+    /// on its server)?
+    fn growable(&self, subgroups: &[SubgroupPlan], free: &[isize]) -> bool {
+        let sg = &subgroups[self.index];
+        sg.replicable && free[sg.server] > 0
+    }
+
+    /// The chain's capacity were the bottleneck given one more core.
+    fn cap_if_grown(&self, problem: &PlacementProblem, subgroups: &[SubgroupPlan]) -> f64 {
+        let sg = &subgroups[self.index];
+        self.rest.min(capacity(problem, sg, sg.cores + 1))
+    }
+}
+
 /// Chain-rate capacity (bps) implied by the current allocation: min over
 /// the chain's subgroups.
 fn chain_capacity(problem: &PlacementProblem, subgroups: &[SubgroupPlan], chain: usize) -> f64 {
-    subgroups
-        .iter()
-        .filter(|sg| sg.chain == chain)
-        .map(|sg| sg.chain_rate_capacity_bps(problem.topology.servers[sg.server].clock_hz))
-        .fold(f64::INFINITY, f64::min)
+    Bottleneck::of(problem, subgroups, chain).map_or(f64::INFINITY, |b| b.cap)
 }
 
 fn slo_of(problem: &PlacementProblem, chain: usize) -> Slo {
@@ -43,29 +100,6 @@ fn free_cores(problem: &PlacementProblem, subgroups: &[SubgroupPlan]) -> Vec<isi
         free[sg.server] -= sg.cores as isize;
     }
     free
-}
-
-/// Index of the chain's current bottleneck subgroup that can still grow
-/// (replicable, with a free core on its server).
-fn growable_bottleneck(
-    problem: &PlacementProblem,
-    subgroups: &[SubgroupPlan],
-    free: &[isize],
-    chain: usize,
-) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, sg) in subgroups.iter().enumerate() {
-        if sg.chain != chain {
-            continue;
-        }
-        let cap = sg.chain_rate_capacity_bps(problem.topology.servers[sg.server].clock_hz);
-        if best.map(|(_, c)| cap < c).unwrap_or(true) {
-            best = Some((i, cap));
-        }
-    }
-    let (i, _) = best?;
-    let sg = &subgroups[i];
-    (sg.replicable && free[sg.server] > 0).then_some(i)
 }
 
 /// Allocate cores in place. Every subgroup starts at 1 core; failure to
@@ -100,14 +134,16 @@ pub fn allocate(
             let mut progressed = false;
             let mut all_met = true;
             for c in 0..n_chains {
-                let need = slo_of(problem, c).t_min_bps;
-                if chain_capacity(problem, subgroups, c) + 1e-6 >= need {
+                let Some(b) = Bottleneck::of(problem, subgroups, c) else {
+                    continue;
+                };
+                if b.cap + 1e-6 >= slo_of(problem, c).t_min_bps {
                     continue;
                 }
                 all_met = false;
-                if let Some(i) = growable_bottleneck(problem, subgroups, &free, c) {
-                    free[subgroups[i].server] -= 1;
-                    subgroups[i].cores += 1;
+                if b.growable(subgroups, &free) {
+                    free[subgroups[b.index].server] -= 1;
+                    subgroups[b.index].cores += 1;
                     progressed = true;
                 }
             }
@@ -150,17 +186,15 @@ pub fn allocate(
                 for c in 0..n_chains {
                     let slo = slo_of(problem, c);
                     let ceiling = slo.t_max_bps.min(tor_rate);
-                    let now = chain_capacity(problem, subgroups, c).min(ceiling);
-                    let Some(i) = growable_bottleneck(problem, subgroups, &free, c) else {
+                    let Some(b) = Bottleneck::of(problem, subgroups, c) else {
                         continue;
                     };
-                    // Tentatively add a core.
-                    subgroups[i].cores += 1;
-                    let after = chain_capacity(problem, subgroups, c).min(ceiling);
-                    subgroups[i].cores -= 1;
-                    let gain = after - now;
+                    if !b.growable(subgroups, &free) {
+                        continue;
+                    }
+                    let gain = b.cap_if_grown(problem, subgroups).min(ceiling) - b.cap.min(ceiling);
                     if gain > 1e-6 && best.map(|(_, g)| gain > g).unwrap_or(true) {
-                        best = Some((i, gain));
+                        best = Some((b.index, gain));
                     }
                 }
                 let Some((i, _)) = best else { break };
@@ -173,20 +207,19 @@ pub fn allocate(
             for c in 0..n_chains {
                 let ceiling = slo_of(problem, c).t_max_bps.min(tor_rate);
                 loop {
-                    let now = chain_capacity(problem, subgroups, c).min(ceiling);
+                    let b = Bottleneck::of(problem, subgroups, c);
+                    let now = b.as_ref().map_or(f64::INFINITY, |b| b.cap).min(ceiling);
                     if now + 1e-6 >= ceiling {
                         break;
                     }
-                    let Some(i) = growable_bottleneck(problem, subgroups, &free, c) else {
+                    let Some(b) = b.filter(|b| b.growable(subgroups, &free)) else {
                         break;
                     };
-                    subgroups[i].cores += 1;
-                    let after = chain_capacity(problem, subgroups, c).min(ceiling);
-                    if after - now <= 1e-6 {
-                        subgroups[i].cores -= 1;
+                    if b.cap_if_grown(problem, subgroups).min(ceiling) - now <= 1e-6 {
                         break;
                     }
-                    free[subgroups[i].server] -= 1;
+                    free[subgroups[b.index].server] -= 1;
+                    subgroups[b.index].cores += 1;
                 }
             }
         }
@@ -196,18 +229,18 @@ pub fn allocate(
             loop {
                 let mut gave_any = false;
                 for c in 0..n_chains {
-                    if let Some(i) = growable_bottleneck(problem, subgroups, &free, c) {
-                        // Only if it actually improves (avoid burning cores
-                        // on a non-bottleneck shape).
-                        let now = chain_capacity(problem, subgroups, c);
-                        subgroups[i].cores += 1;
-                        let after = chain_capacity(problem, subgroups, c);
-                        if after - now > 1e-6 && after <= 2.0 * tor_rate {
-                            free[subgroups[i].server] -= 1;
-                            gave_any = true;
-                        } else {
-                            subgroups[i].cores -= 1;
-                        }
+                    let Some(b) = Bottleneck::of(problem, subgroups, c)
+                        .filter(|b| b.growable(subgroups, &free))
+                    else {
+                        continue;
+                    };
+                    // Only if it actually improves (avoid burning cores
+                    // on a non-bottleneck shape).
+                    let after = b.cap_if_grown(problem, subgroups);
+                    if after - b.cap > 1e-6 && after <= 2.0 * tor_rate {
+                        free[subgroups[b.index].server] -= 1;
+                        subgroups[b.index].cores += 1;
+                        gave_any = true;
                     }
                 }
                 if !gave_any {
@@ -255,7 +288,7 @@ mod tests {
     use super::*;
     use crate::profiles::{NfProfiles, Platform};
     use crate::topology::Topology;
-    use lemur_core::chains::{canonical_chain, CanonicalChain};
+    use lemur_core::chains::{canonical_chain, extreme_nat_chain, CanonicalChain};
     use lemur_core::graph::ChainSpec;
     use lemur_core::Slo;
     use lemur_nf::NfKind;
@@ -393,6 +426,277 @@ mod tests {
                     used <= p.topology.worker_cores(0),
                     "{strategy:?} used {used} cores"
                 );
+            }
+        }
+    }
+
+    /// The allocation loops as they were before [`Bottleneck`]: every
+    /// question (capacity now, which subgroup to grow, capacity after) is
+    /// its own pass over the whole slice. Kept as the reference the
+    /// single-pass version is compared against.
+    mod reference {
+        use super::super::{free_cores, slo_of, CoreStrategy};
+        use crate::placement::{PlacementError, PlacementProblem, SubgroupPlan};
+
+        /// Chain-rate capacity (bps) implied by the current allocation: min over
+        /// the chain's subgroups.
+        fn chain_capacity(
+            problem: &PlacementProblem,
+            subgroups: &[SubgroupPlan],
+            chain: usize,
+        ) -> f64 {
+            subgroups
+                .iter()
+                .filter(|sg| sg.chain == chain)
+                .map(|sg| sg.chain_rate_capacity_bps(problem.topology.servers[sg.server].clock_hz))
+                .fold(f64::INFINITY, f64::min)
+        }
+
+        /// Index of the chain's current bottleneck subgroup that can still grow
+        /// (replicable, with a free core on its server).
+        fn growable_bottleneck(
+            problem: &PlacementProblem,
+            subgroups: &[SubgroupPlan],
+            free: &[isize],
+            chain: usize,
+        ) -> Option<usize> {
+            let mut best: Option<(usize, f64)> = None;
+            for (i, sg) in subgroups.iter().enumerate() {
+                if sg.chain != chain {
+                    continue;
+                }
+                let cap = sg.chain_rate_capacity_bps(problem.topology.servers[sg.server].clock_hz);
+                if best.map(|(_, c)| cap < c).unwrap_or(true) {
+                    best = Some((i, cap));
+                }
+            }
+            let (i, _) = best?;
+            let sg = &subgroups[i];
+            (sg.replicable && free[sg.server] > 0).then_some(i)
+        }
+
+        /// Allocate cores in place. Every subgroup starts at 1 core; failure to
+        /// fit the minimum allocation or to reach a chain's `t_min` is an error.
+        pub fn allocate(
+            problem: &PlacementProblem,
+            subgroups: &mut [SubgroupPlan],
+            strategy: CoreStrategy,
+        ) -> Result<(), PlacementError> {
+            for sg in subgroups.iter_mut() {
+                sg.cores = 1;
+            }
+            let mut free = free_cores(problem, subgroups);
+            if free.iter().any(|f| *f < 0) {
+                return Err(PlacementError::Infeasible(
+                    "more subgroups than worker cores".to_string(),
+                ));
+            }
+
+            let n_chains = problem.chains.len();
+            let tor_rate = match &problem.topology.tor {
+                crate::topology::Tor::Pisa(m) => m.port_rate_bps,
+                crate::topology::Tor::OpenFlow { rate_bps } => *rate_bps,
+            };
+
+            // Phase 1 (all but EvenSpare/MinimalOnly): reach every t_min.
+            if matches!(
+                strategy,
+                CoreStrategy::WaterFill | CoreStrategy::SequentialGreedy
+            ) {
+                loop {
+                    let mut progressed = false;
+                    let mut all_met = true;
+                    for c in 0..n_chains {
+                        let need = slo_of(problem, c).t_min_bps;
+                        if chain_capacity(problem, subgroups, c) + 1e-6 >= need {
+                            continue;
+                        }
+                        all_met = false;
+                        if let Some(i) = growable_bottleneck(problem, subgroups, &free, c) {
+                            free[subgroups[i].server] -= 1;
+                            subgroups[i].cores += 1;
+                            progressed = true;
+                        }
+                    }
+                    if all_met {
+                        break;
+                    }
+                    if !progressed {
+                        // Find the first unmet chain for the error message.
+                        let c = (0..n_chains)
+                            .find(|c| {
+                                chain_capacity(problem, subgroups, *c) + 1e-6
+                                    < slo_of(problem, *c).t_min_bps
+                            })
+                            .unwrap_or(0);
+                        return Err(PlacementError::Infeasible(format!(
+                            "chain {c}: cannot reach t_min ({:.2}G < {:.2}G)",
+                            chain_capacity(problem, subgroups, c) / 1e9,
+                            slo_of(problem, c).t_min_bps / 1e9
+                        )));
+                    }
+                }
+            }
+
+            // Phase 2: spend spare cores.
+            match strategy {
+                CoreStrategy::MinimalOnly => {
+                    // Still must verify t_min with single cores.
+                    for c in 0..n_chains {
+                        if chain_capacity(problem, subgroups, c) + 1e-6
+                            < slo_of(problem, c).t_min_bps
+                        {
+                            return Err(PlacementError::Infeasible(format!(
+                                "chain {c}: t_min unreachable without core scaling"
+                            )));
+                        }
+                    }
+                }
+                CoreStrategy::WaterFill => {
+                    // Greedy water-filling on marginal gain.
+                    loop {
+                        let mut best: Option<(usize, f64)> = None;
+                        for c in 0..n_chains {
+                            let slo = slo_of(problem, c);
+                            let ceiling = slo.t_max_bps.min(tor_rate);
+                            let now = chain_capacity(problem, subgroups, c).min(ceiling);
+                            let Some(i) = growable_bottleneck(problem, subgroups, &free, c) else {
+                                continue;
+                            };
+                            // Tentatively add a core.
+                            subgroups[i].cores += 1;
+                            let after = chain_capacity(problem, subgroups, c).min(ceiling);
+                            subgroups[i].cores -= 1;
+                            let gain = after - now;
+                            if gain > 1e-6 && best.map(|(_, g)| gain > g).unwrap_or(true) {
+                                best = Some((i, gain));
+                            }
+                        }
+                        let Some((i, _)) = best else { break };
+                        free[subgroups[i].server] -= 1;
+                        subgroups[i].cores += 1;
+                    }
+                }
+                CoreStrategy::SequentialGreedy => {
+                    // Chains in index order, each filled to t_max before the next.
+                    for c in 0..n_chains {
+                        let ceiling = slo_of(problem, c).t_max_bps.min(tor_rate);
+                        loop {
+                            let now = chain_capacity(problem, subgroups, c).min(ceiling);
+                            if now + 1e-6 >= ceiling {
+                                break;
+                            }
+                            let Some(i) = growable_bottleneck(problem, subgroups, &free, c) else {
+                                break;
+                            };
+                            subgroups[i].cores += 1;
+                            let after = chain_capacity(problem, subgroups, c).min(ceiling);
+                            if after - now <= 1e-6 {
+                                subgroups[i].cores -= 1;
+                                break;
+                            }
+                            free[subgroups[i].server] -= 1;
+                        }
+                    }
+                }
+                CoreStrategy::EvenSpare => {
+                    // Round-robin spare cores across chains, each chain growing its
+                    // bottleneck; stop when nothing can grow.
+                    loop {
+                        let mut gave_any = false;
+                        for c in 0..n_chains {
+                            if let Some(i) = growable_bottleneck(problem, subgroups, &free, c) {
+                                // Only if it actually improves (avoid burning cores
+                                // on a non-bottleneck shape).
+                                let now = chain_capacity(problem, subgroups, c);
+                                subgroups[i].cores += 1;
+                                let after = chain_capacity(problem, subgroups, c);
+                                if after - now > 1e-6 && after <= 2.0 * tor_rate {
+                                    free[subgroups[i].server] -= 1;
+                                    gave_any = true;
+                                } else {
+                                    subgroups[i].cores -= 1;
+                                }
+                            }
+                        }
+                        if !gave_any {
+                            break;
+                        }
+                    }
+                    // EvenSpare ignores SLOs while allocating, but feasibility
+                    // still requires t_min afterwards.
+                    for c in 0..n_chains {
+                        if chain_capacity(problem, subgroups, c) + 1e-6
+                            < slo_of(problem, c).t_min_bps
+                        {
+                            return Err(PlacementError::Infeasible(format!(
+                                "chain {c}: t_min unmet under even-spare allocation"
+                            )));
+                        }
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    proptest::proptest! {
+        #![cases = 256]
+
+        /// Same cores, same error text as the reference loops — every
+        /// strategy, capability-blind random placements (so chains with
+        /// none, one and many subgroups), one to three servers.
+        #[test]
+        fn allocate_matches_reference_loops(
+            picks in proptest::prop::collection::vec(0usize..6, 1..5),
+            delta in 0.1f64..3.0,
+            servers in 1usize..4,
+            seeds in proptest::prop::collection::vec(0usize..1000, 8..64),
+        ) {
+            let chains = picks
+                .iter()
+                .map(|&w| ChainSpec {
+                    name: format!("chain{w}"),
+                    // 5: equal parallel branches, so capacities tie.
+                    graph: CanonicalChain::ALL.get(w).map_or_else(|| extreme_nat_chain(3), |c| canonical_chain(*c)),
+                    slo: None,
+                    aggregate: None,
+                })
+                .collect();
+            let topology = if servers == 1 { Topology::testbed() } else { Topology::with_servers(servers) };
+            let mut p = PlacementProblem::new(chains, topology, NfProfiles::table4());
+            for i in 0..p.chains.len() {
+                let base = p.base_rate_bps(i);
+                p.chains[i].slo = Some(Slo::elastic_pipe((delta * base).min(100e9), 100e9));
+            }
+            let mut next = seeds.iter().cycle();
+            let a: crate::Assignment = p
+                .chains
+                .iter()
+                .map(|c| {
+                    c.graph
+                        .nodes()
+                        .map(|(id, _)| {
+                            let s = *next.next().unwrap();
+                            let plat = if s % 3 == 0 { Platform::Pisa } else { Platform::Server(s % servers) };
+                            (id, plat)
+                        })
+                        .collect::<BTreeMap<_, _>>()
+                })
+                .collect();
+            for strategy in [
+                CoreStrategy::WaterFill,
+                CoreStrategy::SequentialGreedy,
+                CoreStrategy::EvenSpare,
+                CoreStrategy::MinimalOnly,
+            ] {
+                let mut got = p.form_subgroups(&a);
+                let mut want = got.clone();
+                let got_result = allocate(&p, &mut got, strategy);
+                let want_result = reference::allocate(&p, &mut want, strategy);
+                proptest::prop_assert_eq!(got_result, want_result, "{strategy:?}");
+                let cores = |sgs: &[SubgroupPlan]| sgs.iter().map(|sg| sg.cores).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(cores(&got), cores(&want), "{strategy:?}");
             }
         }
     }

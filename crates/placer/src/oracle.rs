@@ -135,6 +135,13 @@ impl StageOracle for ModelOracle {
         // chain costs add, minus the shared overhead charged once.
         let mut total = self.overhead_stages;
         for (ci, chain) in problem.chains.iter().enumerate() {
+            let Some(placed) = assignment.get(ci) else {
+                // An unassigned chain has no program to fit.
+                return StageVerdict::OutOfStages {
+                    required: self.available + 1,
+                    available: self.available,
+                };
+            };
             let per_path: usize = chain
                 .graph
                 .decompose()
@@ -142,7 +149,7 @@ impl StageOracle for ModelOracle {
                 .map(|lc| {
                     lc.nodes
                         .iter()
-                        .filter(|id| matches!(assignment[ci].get(id), Some(Platform::Pisa)))
+                        .filter(|id| matches!(placed.get(id), Some(Platform::Pisa)))
                         .map(|id| model_stage_cost(chain.graph.node(*id).kind))
                         .sum::<usize>()
                 })

@@ -10,7 +10,7 @@ use crate::corealloc::{self, CoreStrategy};
 use crate::profiles::{is_replicable, NfProfiles, Platform};
 use crate::topology::{Topology, Tor};
 use crate::{NSH_OVERHEAD_CYCLES, PACKET_BITS, REPLICATION_OVERHEAD_CYCLES};
-use lemur_core::graph::{ChainSpec, NodeId};
+use lemur_core::graph::{ChainSpec, LinearChain, NodeId};
 use lemur_lp::{Problem, Relation};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -116,11 +116,16 @@ impl SubgroupPlan {
     /// server with the given clock: `cores · clock/cycles · packet_bits /
     /// fraction` (the chain rate at which this subgroup saturates).
     pub fn chain_rate_capacity_bps(&self, clock_hz: f64) -> f64 {
+        self.capacity_with_cores_bps(self.cores, clock_hz)
+    }
+
+    /// [`Self::chain_rate_capacity_bps`] were the subgroup given `cores`.
+    pub(crate) fn capacity_with_cores_bps(&self, cores: usize, clock_hz: f64) -> f64 {
         let mut cycles = self.cycles;
-        if self.cores > 1 {
+        if cores > 1 {
             cycles += REPLICATION_OVERHEAD_CYCLES;
         }
-        let pps = self.cores as f64 * clock_hz / cycles;
+        let pps = cores as f64 * clock_hz / cycles;
         pps * PACKET_BITS / self.fraction.max(1e-12)
     }
 }
@@ -219,13 +224,7 @@ impl PlacementProblem {
 
     /// Traffic fraction through each node of a chain.
     pub fn node_fractions(&self, chain: usize) -> HashMap<NodeId, f64> {
-        let mut f: HashMap<NodeId, f64> = HashMap::new();
-        for lc in self.chains[chain].graph.decompose() {
-            for n in &lc.nodes {
-                *f.entry(*n).or_insert(0.0) += lc.weight;
-            }
-        }
-        f
+        node_fractions(&self.chains[chain].graph.decompose())
     }
 
     /// The chain's *base rate* (§5.1): the rate with one core on the
@@ -249,106 +248,135 @@ impl PlacementProblem {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Check assignment capabilities (every node on a platform with an
-    /// implementation that exists in this topology).
+    /// Check assignment capabilities (every chain assigned, every node on a
+    /// platform with an implementation that exists in this topology).
     pub fn check_capabilities(&self, assignment: &Assignment) -> Result<(), PlacementError> {
-        for (ci, chain) in self.chains.iter().enumerate() {
-            for (id, node) in chain.graph.nodes() {
-                let Some(platform) = assignment[ci].get(&id) else {
-                    return Err(PlacementError::Infeasible(format!(
-                        "chain {ci}: node {} unassigned",
-                        node.name
-                    )));
+        for ci in 0..self.chains.len() {
+            let Some(placed) = assignment.get(ci) else {
+                return Err(PlacementError::Infeasible(format!(
+                    "chain {ci}: unassigned"
+                )));
+            };
+            self.check_chain_capabilities(ci, placed)?;
+        }
+        Ok(())
+    }
+
+    /// [`Self::check_capabilities`] for chain `ci` alone.
+    pub(crate) fn check_chain_capabilities(
+        &self,
+        ci: usize,
+        placed: &BTreeMap<NodeId, Platform>,
+    ) -> Result<(), PlacementError> {
+        for (id, node) in self.chains[ci].graph.nodes() {
+            let Some(platform) = placed.get(&id) else {
+                return Err(PlacementError::Infeasible(format!(
+                    "chain {ci}: node {} unassigned",
+                    node.name
+                )));
+            };
+            let ok = self
+                .profiles
+                .capabilities(node.kind)
+                .contains(&platform.class())
+                && match platform {
+                    Platform::Pisa => self.topology.has_pisa(),
+                    Platform::OpenFlow => matches!(self.topology.tor, Tor::OpenFlow { .. }),
+                    Platform::Server(s) => *s < self.topology.servers.len(),
+                    Platform::SmartNic(n) => *n < self.topology.smartnics.len(),
                 };
-                let ok = self
-                    .profiles
-                    .capabilities(node.kind)
-                    .contains(&platform.class())
-                    && match platform {
-                        Platform::Pisa => self.topology.has_pisa(),
-                        Platform::OpenFlow => matches!(self.topology.tor, Tor::OpenFlow { .. }),
-                        Platform::Server(s) => *s < self.topology.servers.len(),
-                        Platform::SmartNic(n) => *n < self.topology.smartnics.len(),
-                    };
-                if !ok {
-                    return Err(PlacementError::NoCapability {
-                        chain: ci,
-                        node: node.name.clone(),
-                        platform: *platform,
-                    });
-                }
+            if !ok {
+                return Err(PlacementError::NoCapability {
+                    chain: ci,
+                    node: node.name.clone(),
+                    platform: *platform,
+                });
             }
         }
         Ok(())
     }
 
     /// Form run-to-completion subgroups for an assignment: consecutive
-    /// same-server nodes joined across purely linear edges (§3.2).
+    /// same-server nodes joined across purely linear edges (§3.2). Emitted
+    /// chain by chain.
     pub fn form_subgroups(&self, assignment: &Assignment) -> Vec<SubgroupPlan> {
         let mut out = Vec::new();
-        for (ci, chain) in self.chains.iter().enumerate() {
-            let fractions = self.node_fractions(ci);
-            let g = &chain.graph;
-            let order = g.topo_order().expect("validated");
-            // Union-find over nodes.
-            let n = g.num_nodes();
-            let mut parent: Vec<usize> = (0..n).collect();
-            fn find(p: &mut Vec<usize>, x: usize) -> usize {
-                if p[x] != x {
-                    let r = find(p, p[x]);
-                    p[x] = r;
-                }
-                p[x]
+        for (ci, placed) in assignment.iter().enumerate().take(self.chains.len()) {
+            out.extend(self.chain_subgroups(ci, placed, &self.node_fractions(ci)));
+        }
+        out
+    }
+
+    /// [`Self::form_subgroups`] for chain `ci` alone, given the chain's
+    /// [`Self::node_fractions`]. A chain's subgroups depend on no other
+    /// chain's placement.
+    pub(crate) fn chain_subgroups(
+        &self,
+        ci: usize,
+        placed: &BTreeMap<NodeId, Platform>,
+        fractions: &HashMap<NodeId, f64>,
+    ) -> Vec<SubgroupPlan> {
+        let mut out = Vec::new();
+        let g = &self.chains[ci].graph;
+        let order = g.topo_order().expect("validated");
+        // Union-find over nodes.
+        let n = g.num_nodes();
+        let mut parent: Vec<usize> = (0..n).collect();
+        fn find(p: &mut Vec<usize>, x: usize) -> usize {
+            if p[x] != x {
+                let r = find(p, p[x]);
+                p[x] = r;
             }
-            for e in g.edges() {
-                let pf = assignment[ci].get(&e.from);
-                let pt = assignment[ci].get(&e.to);
-                if let (Some(Platform::Server(a)), Some(Platform::Server(b))) = (pf, pt) {
-                    if a == b && g.out_edges(e.from).len() == 1 && g.in_degree(e.to) == 1 {
-                        let ra = find(&mut parent, e.from.0);
-                        let rb = find(&mut parent, e.to.0);
-                        parent[ra] = rb;
-                    }
+            p[x]
+        }
+        for e in g.edges() {
+            let pf = placed.get(&e.from);
+            let pt = placed.get(&e.to);
+            if let (Some(Platform::Server(a)), Some(Platform::Server(b))) = (pf, pt) {
+                if a == b && g.out_edges(e.from).len() == 1 && g.in_degree(e.to) == 1 {
+                    let ra = find(&mut parent, e.from.0);
+                    let rb = find(&mut parent, e.to.0);
+                    parent[ra] = rb;
                 }
             }
-            // Collect groups in topo order.
-            let mut groups: HashMap<usize, Vec<NodeId>> = HashMap::new();
-            for id in &order {
-                if let Some(Platform::Server(_)) = assignment[ci].get(id) {
-                    let root = find(&mut parent, id.0);
-                    groups.entry(root).or_default().push(*id);
-                }
+        }
+        // Collect groups in topo order.
+        let mut groups: HashMap<usize, Vec<NodeId>> = HashMap::new();
+        for id in &order {
+            if let Some(Platform::Server(_)) = placed.get(id) {
+                let root = find(&mut parent, id.0);
+                groups.entry(root).or_default().push(*id);
             }
-            let mut roots: Vec<usize> = groups.keys().copied().collect();
-            roots.sort_by_key(|r| groups[r][0].0);
-            for root in roots {
-                let nodes = groups.remove(&root).unwrap();
-                let Platform::Server(server) = assignment[ci][&nodes[0]] else {
-                    unreachable!()
-                };
-                let cycles: f64 = nodes
-                    .iter()
-                    .map(|id| {
-                        let node = g.node(*id);
-                        self.profiles.server_cycles(node.kind, &node.params)
-                    })
-                    .sum::<f64>()
-                    + NSH_OVERHEAD_CYCLES;
-                let replicable = nodes.iter().all(|id| {
+        }
+        let mut roots: Vec<usize> = groups.keys().copied().collect();
+        roots.sort_by_key(|r| groups[r][0].0);
+        for root in roots {
+            let nodes = groups.remove(&root).unwrap();
+            let Platform::Server(server) = placed[&nodes[0]] else {
+                unreachable!()
+            };
+            let cycles: f64 = nodes
+                .iter()
+                .map(|id| {
                     let node = g.node(*id);
-                    is_replicable(node.kind) && !g.is_branch(*id) && !g.is_merge(*id)
-                });
-                let fraction = fractions.get(&nodes[0]).copied().unwrap_or(1.0);
-                out.push(SubgroupPlan {
-                    chain: ci,
-                    server,
-                    nodes,
-                    cycles,
-                    fraction,
-                    replicable,
-                    cores: 1,
-                });
-            }
+                    self.profiles.server_cycles(node.kind, &node.params)
+                })
+                .sum::<f64>()
+                + NSH_OVERHEAD_CYCLES;
+            let replicable = nodes.iter().all(|id| {
+                let node = g.node(*id);
+                is_replicable(node.kind) && !g.is_branch(*id) && !g.is_merge(*id)
+            });
+            let fraction = fractions.get(&nodes[0]).copied().unwrap_or(1.0);
+            out.push(SubgroupPlan {
+                chain: ci,
+                server,
+                nodes,
+                cycles,
+                fraction,
+                replicable,
+                cores: 1,
+            });
         }
         out
     }
@@ -357,27 +385,11 @@ impl PlacementProblem {
     /// segments per decomposed path × path weight). One visit = one
     /// NIC-link crossing per direction.
     pub fn server_visits(&self, assignment: &Assignment) -> Vec<HashMap<usize, f64>> {
-        let mut out = Vec::with_capacity(self.chains.len());
-        for (ci, chain) in self.chains.iter().enumerate() {
-            let mut visits: HashMap<usize, f64> = HashMap::new();
-            for lc in chain.graph.decompose() {
-                let mut prev: Option<usize> = None;
-                for id in &lc.nodes {
-                    let here = match assignment[ci].get(id) {
-                        Some(Platform::Server(s)) => Some(*s),
-                        _ => None,
-                    };
-                    if let Some(s) = here {
-                        if prev != Some(s) {
-                            *visits.entry(s).or_insert(0.0) += lc.weight;
-                        }
-                    }
-                    prev = here;
-                }
-            }
-            out.push(visits);
-        }
-        out
+        self.chains
+            .iter()
+            .zip(assignment)
+            .map(|(chain, placed)| server_visits(placed, &chain.graph.decompose()))
+            .collect()
     }
 
     /// Weighted bounce count per chain: total platform transitions along
@@ -385,85 +397,71 @@ impl PlacementProblem {
     pub fn bounce_counts(&self, assignment: &Assignment) -> Vec<f64> {
         self.chains
             .iter()
-            .enumerate()
-            .map(|(ci, chain)| {
-                let mut bounces = 0.0;
-                for lc in chain.graph.decompose() {
-                    // Traffic starts and ends at the ToR.
-                    let mut prev = LocKind::Tor;
-                    let mut count = 0usize;
-                    for id in &lc.nodes {
-                        let here = loc_of(assignment[ci].get(id));
-                        if here != prev {
-                            count += 1;
-                        }
-                        prev = here;
-                    }
-                    if prev != LocKind::Tor {
-                        count += 1; // return to ToR for egress
-                    }
-                    bounces += lc.weight * count as f64;
-                }
-                bounces
-            })
+            .zip(assignment)
+            .map(|(chain, placed)| bounce_count(placed, &chain.graph.decompose()))
             .collect()
     }
 
     /// Worst-path latency per chain for an assignment (ns).
     pub fn latencies_ns(&self, assignment: &Assignment) -> Vec<f64> {
+        self.chains
+            .iter()
+            .zip(assignment)
+            .map(|(chain, placed)| self.chain_latency_ns(chain, placed, &chain.graph.decompose()))
+            .collect()
+    }
+
+    /// [`Self::latencies_ns`] for one chain, over its decomposed `paths`.
+    fn chain_latency_ns(
+        &self,
+        chain: &ChainSpec,
+        placed: &BTreeMap<NodeId, Platform>,
+        paths: &[LinearChain],
+    ) -> f64 {
         let switch_latency = match &self.topology.tor {
             Tor::Pisa(m) => m.pipeline_latency_ns(m.num_stages),
             Tor::OpenFlow { .. } => 1_000.0,
         };
-        self.chains
+        let clock = self.topology.servers[0].clock_hz;
+        paths
             .iter()
-            .enumerate()
-            .map(|(ci, chain)| {
-                let clock = self.topology.servers[0].clock_hz;
-                chain
-                    .graph
-                    .decompose()
-                    .iter()
-                    .map(|lc| {
-                        let mut ns = switch_latency;
-                        let mut prev = LocKind::Tor;
-                        for id in &lc.nodes {
-                            let node = chain.graph.node(*id);
-                            let here = loc_of(assignment[ci].get(id));
-                            if here != prev {
-                                ns += BOUNCE_LATENCY_NS;
-                            }
-                            match here {
-                                LocKind::Server(_) => {
-                                    ns += self.profiles.server_cycles(node.kind, &node.params)
-                                        / clock
-                                        * 1e9;
-                                }
-                                LocKind::Nic(_) => {
-                                    let cycles = self
-                                        .profiles
-                                        .smartnic_cycles(node.kind, &node.params)
-                                        .unwrap_or(1000.0);
-                                    let nic_clock = self
-                                        .topology
-                                        .smartnics
-                                        .first()
-                                        .map(|n| n.clock_hz)
-                                        .unwrap_or(clock);
-                                    ns += cycles / nic_clock * 1e9;
-                                }
-                                LocKind::Tor => {}
-                            }
-                            prev = here;
+            .map(|lc| {
+                let mut ns = switch_latency;
+                let mut prev = LocKind::Tor;
+                for id in &lc.nodes {
+                    let node = chain.graph.node(*id);
+                    let here = loc_of(placed.get(id));
+                    if here != prev {
+                        ns += BOUNCE_LATENCY_NS;
+                    }
+                    match here {
+                        LocKind::Server(_) => {
+                            ns +=
+                                self.profiles.server_cycles(node.kind, &node.params) / clock * 1e9;
                         }
-                        if prev != LocKind::Tor {
-                            ns += BOUNCE_LATENCY_NS;
+                        LocKind::Nic(_) => {
+                            let cycles = self
+                                .profiles
+                                .smartnic_cycles(node.kind, &node.params)
+                                .unwrap_or(1000.0);
+                            let nic_clock = self
+                                .topology
+                                .smartnics
+                                .first()
+                                .map(|n| n.clock_hz)
+                                .unwrap_or(clock);
+                            ns += cycles / nic_clock * 1e9;
                         }
-                        ns
-                    })
-                    .fold(0.0, f64::max)
+                        LocKind::Tor => {}
+                    }
+                    prev = here;
+                }
+                if prev != LocKind::Tor {
+                    ns += BOUNCE_LATENCY_NS;
+                }
+                ns
             })
-            .collect()
+            .fold(0.0, f64::max)
     }
 
     /// Evaluate an assignment: subgroup formation, core allocation with
@@ -498,11 +496,15 @@ impl PlacementProblem {
         alloc: Alloc<'_>,
     ) -> Result<EvaluatedPlacement, PlacementError> {
         self.check_capabilities(assignment)?;
+        // Every per-path quantity below reads the same decomposition.
+        let paths: Vec<Vec<LinearChain>> =
+            self.chains.iter().map(|c| c.graph.decompose()).collect();
+        let fractions: Vec<_> = paths.iter().map(|p| node_fractions(p)).collect();
 
         // OpenFlow table-order validation (§5.3).
         if matches!(self.topology.tor, Tor::OpenFlow { .. }) {
             for (ci, chain) in self.chains.iter().enumerate() {
-                for lc in chain.graph.decompose() {
+                for lc in &paths[ci] {
                     let seq: Vec<_> = lc
                         .nodes
                         .iter()
@@ -516,12 +518,13 @@ impl PlacementProblem {
             }
         }
 
-        let mut subgroups = self.form_subgroups(assignment);
+        let mut subgroups: Vec<SubgroupPlan> = (0..self.chains.len())
+            .flat_map(|ci| self.chain_subgroups(ci, &assignment[ci], &fractions[ci]))
+            .collect();
 
         // SmartNIC NFs.
         let mut nic_nfs = Vec::new();
         for (ci, chain) in self.chains.iter().enumerate() {
-            let fractions = self.node_fractions(ci);
             for (id, node) in chain.graph.nodes() {
                 if let Some(Platform::SmartNic(nic)) = assignment[ci].get(&id) {
                     let cycles = self
@@ -537,7 +540,7 @@ impl PlacementProblem {
                         node: id,
                         nic: *nic,
                         cycles,
-                        fraction: fractions.get(&id).copied().unwrap_or(1.0),
+                        fraction: fractions[ci].get(&id).copied().unwrap_or(1.0),
                     });
                 }
             }
@@ -559,7 +562,10 @@ impl PlacementProblem {
         }
 
         // Latency check (before the LP: latency is rate-independent here).
-        let latency_ns = self.latencies_ns(assignment);
+        let per_chain = || self.chains.iter().zip(assignment).zip(&paths);
+        let latency_ns: Vec<f64> = per_chain()
+            .map(|((chain, placed), paths)| self.chain_latency_ns(chain, placed, paths))
+            .collect();
         for (ci, chain) in self.chains.iter().enumerate() {
             if let Some(slo) = &chain.slo {
                 if let Some(d_max) = slo.d_max_ns {
@@ -575,7 +581,9 @@ impl PlacementProblem {
         }
 
         // The marginal-throughput LP.
-        let visits = self.server_visits(assignment);
+        let visits: Vec<_> = per_chain()
+            .map(|((_, placed), paths)| server_visits(placed, paths))
+            .collect();
         let tor_rate = match &self.topology.tor {
             Tor::Pisa(m) => m.port_rate_bps,
             Tor::OpenFlow { rate_bps } => *rate_bps,
@@ -642,12 +650,71 @@ impl PlacementProblem {
             chain_rates_bps,
             aggregate_bps,
             marginal_bps,
-            bounces: self.bounce_counts(assignment),
+            bounces: per_chain()
+                .map(|((_, placed), paths)| bounce_count(placed, paths))
+                .collect(),
             latency_ns,
             stages_used: None,
             telemetry: None,
         })
     }
+}
+
+/// Traffic fraction through each node, from a chain's decomposed paths.
+fn node_fractions(paths: &[LinearChain]) -> HashMap<NodeId, f64> {
+    let mut f: HashMap<NodeId, f64> = HashMap::new();
+    for lc in paths {
+        for n in &lc.nodes {
+            *f.entry(*n).or_insert(0.0) += lc.weight;
+        }
+    }
+    f
+}
+
+/// One chain's [`PlacementProblem::server_visits`].
+fn server_visits(
+    placed: &BTreeMap<NodeId, Platform>,
+    paths: &[LinearChain],
+) -> HashMap<usize, f64> {
+    let mut visits: HashMap<usize, f64> = HashMap::new();
+    for lc in paths {
+        let mut prev: Option<usize> = None;
+        for id in &lc.nodes {
+            let here = match placed.get(id) {
+                Some(Platform::Server(s)) => Some(*s),
+                _ => None,
+            };
+            if let Some(s) = here {
+                if prev != Some(s) {
+                    *visits.entry(s).or_insert(0.0) += lc.weight;
+                }
+            }
+            prev = here;
+        }
+    }
+    visits
+}
+
+/// One chain's [`PlacementProblem::bounce_counts`].
+fn bounce_count(placed: &BTreeMap<NodeId, Platform>, paths: &[LinearChain]) -> f64 {
+    let mut bounces = 0.0;
+    for lc in paths {
+        // Traffic starts and ends at the ToR.
+        let mut prev = LocKind::Tor;
+        let mut count = 0usize;
+        for id in &lc.nodes {
+            let here = loc_of(placed.get(id));
+            if here != prev {
+                count += 1;
+            }
+            prev = here;
+        }
+        if prev != LocKind::Tor {
+            count += 1; // return to ToR for egress
+        }
+        bounces += lc.weight * count as f64;
+    }
+    bounces
 }
 
 /// How cores are chosen during evaluation.
@@ -787,6 +854,31 @@ mod tests {
             p.evaluate(&a, CoreStrategy::WaterFill).unwrap_err(),
             PlacementError::NoCapability { .. }
         ));
+    }
+
+    #[test]
+    fn short_assignment_is_infeasible_not_a_panic() {
+        let p = PlacementProblem::new(
+            vec![
+                spec(CanonicalChain::Chain3, 1e8),
+                spec(CanonicalChain::Chain5, 1e8),
+            ],
+            Topology::testbed(),
+            NfProfiles::table4(),
+        );
+        let full = sw_assignment(&p);
+        for (len, missing) in [(1, 1), (0, 0)] {
+            let a = full[..len].to_vec();
+            let want = PlacementError::Infeasible(format!("chain {missing}: unassigned"));
+            assert_eq!(p.check_capabilities(&a).unwrap_err(), want);
+            assert_eq!(p.evaluate(&a, CoreStrategy::WaterFill).unwrap_err(), want);
+            assert_eq!(p.evaluate_with_cores(&a, &[1]).unwrap_err(), want);
+            let verdict = crate::oracle::StageOracle::check(&crate::ModelOracle::default(), &p, &a);
+            assert!(matches!(
+                verdict,
+                crate::oracle::StageVerdict::OutOfStages { .. }
+            ));
+        }
     }
 
     #[test]

@@ -66,15 +66,16 @@ fn main() {
     println!("\n=== unified parser (merged from NF-local trees, §A.2.1) ===");
     print!("{}", synth.parser.to_p4_source());
 
+    let rendered = synth.render();
     println!(
         "=== generated P4 source ({} lines, {} steering) ===",
-        synth.source.lines().count(),
-        synth.steering_lines
+        rendered.source.lines().count(),
+        rendered.steering_lines
     );
-    for line in synth.source.lines().take(40) {
+    for line in rendered.source.lines().take(40) {
         println!("{line}");
     }
-    println!("... (truncated; full source in SynthesizedP4::source)");
+    println!("... (truncated; full source from SynthesizedP4::render)");
 
     println!("\n=== stage packing ===");
     let model = *p.topology.pisa().unwrap();
