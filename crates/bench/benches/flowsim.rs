@@ -9,7 +9,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use lemur_dataplane::{
-    ChainLoad, Diurnal, FlowPacketSource, FlowSizeDist, ScenarioSpec, Surge, SurgeKind, TrafficSpec,
+    ChainLoad, Diurnal, FlowPacketSource, FlowRecord, FlowSizeDist, Scenario, ScenarioSpec, Surge,
+    SurgeKind, TrafficSpec,
 };
 
 const FLOWS: usize = 20_000;
@@ -79,5 +80,37 @@ fn bench_flowsim_window(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_flowsim_window);
+/// One `FlowPacketSource::next_packet` at MTU: the schedule heap's
+/// pop + push over 1 000 concurrent flows plus one template-built frame.
+/// The flows never run dry, so every iteration is a steady-state packet.
+fn bench_flow_source_packet(c: &mut Criterion) {
+    let traffic = TrafficSpec::for_chain(1, 1e9).expect("chain 1 in range");
+    let scenario = Scenario {
+        horizon_ns: u64::MAX,
+        n_chains: 1,
+        flows: (0..1_000)
+            .map(|flow_id| FlowRecord {
+                chain: 0,
+                flow_id,
+                start_ns: flow_id,
+                interval_ns: 2_500,
+                packets: u64::MAX,
+                size_packets: u64::MAX,
+                ddos: false,
+            })
+            .collect(),
+    };
+    let mut src = FlowPacketSource::new(
+        &scenario,
+        0,
+        |_| true,
+        traffic.src_prefix,
+        traffic.payload_len,
+    );
+    c.bench_function("flow_source_next_packet_1500B", |b| {
+        b.iter(|| src.next_packet().expect("endless flows"));
+    });
+}
+
+criterion_group!(benches, bench_flowsim_window, bench_flow_source_packet);
 criterion_main!(benches);

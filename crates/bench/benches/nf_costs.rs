@@ -168,6 +168,41 @@ fn bench_dedup(c: &mut Criterion) {
     group.finish();
 }
 
+/// UrlFilter's multi-pattern scan over one MTU payload (1458 B) of each
+/// shape the traffic generators emit: text that starts many patterns
+/// without finishing one, random bytes, and one byte repeated (a
+/// materialized flow's payload). None matches, so every byte is scanned.
+fn bench_urlfilter_scan(c: &mut Criterion) {
+    let matcher = lemur_nf::urlfilter::AhoCorasick::new(&[
+        "malware.example",
+        "phish.example",
+        "blocked.example",
+    ]);
+    let text: Vec<u8> = b"The quick brown fox jumps over the lazy dog. "
+        .iter()
+        .copied()
+        .cycle()
+        .take(1458)
+        .collect();
+    let random = unique_payload_packets(7, 1)[0].as_slice()[42..].to_vec();
+    let random = [&random[..], &random[..58]].concat();
+    let constant_fill = vec![0x2a; 1458];
+    let mut group = c.benchmark_group("urlfilter_scan_1458B");
+    group.throughput(Throughput::Bytes(1458));
+    for (name, payload) in [
+        ("text", text),
+        ("random", random),
+        ("constant_fill", constant_fill),
+    ] {
+        assert_eq!(payload.len(), 1458);
+        assert!(!matcher.any_match(&payload));
+        group.bench_function(name, |b| {
+            b.iter(|| matcher.any_match(criterion::black_box(&payload)))
+        });
+    }
+    group.finish();
+}
+
 /// Short measurement windows: these benches exist to regenerate the
 /// paper's cost comparisons, not to chase nanosecond precision.
 fn quick_config() -> Criterion {
@@ -180,6 +215,6 @@ fn quick_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick_config();
-    targets = bench_nfs, bench_per_byte_nfs, bench_crypto, bench_dedup
+    targets = bench_nfs, bench_per_byte_nfs, bench_crypto, bench_dedup, bench_urlfilter_scan
 }
 criterion_main!(benches);

@@ -129,6 +129,46 @@ fn bench_switch_pipeline(c: &mut Criterion) {
     visit(c, "switch_set_a_64b_nsh_resume_visit", &mut sw, &resume);
 }
 
+/// One whole `Testbed::run` of 10 000 64-byte packets on figure-2 set a:
+/// the engine's per-packet cost (event queue, in-flight table, server
+/// routing tables, plus the switch and NF work they carry) through the
+/// public API only.
+fn bench_engine_run(c: &mut Criterion) {
+    use lemur_bench::{build_problem, Scheme};
+    use lemur_dataplane::{SimConfig, Testbed};
+    const PACKETS: f64 = 10_000.0;
+    let chains = lemur_bench::figure2_set('a').unwrap();
+    let (p, mut specs) = build_problem(&chains, 0.5, lemur_placer::topology::Topology::testbed());
+    let e = lemur_bench::place(Scheme::Lemur, &p, &lemur_bench::compiler_oracle()).unwrap();
+    // Each chain's predicted packet rate, restated at 64-byte frames.
+    let mut total_pps = 0.0;
+    for (s, rate_bps) in specs.iter_mut().zip(&e.chain_rates_bps) {
+        let pps = rate_bps / (1500.0 * 8.0);
+        s.payload_len = 22;
+        s.offered_bps = pps * 64.0 * 8.0;
+        total_pps += pps;
+    }
+    let config = SimConfig {
+        duration_s: PACKETS / total_pps * 0.9,
+        warmup_s: PACKETS / total_pps * 0.1,
+        ..SimConfig::default()
+    };
+    let mut group = c.benchmark_group("engine");
+    group.throughput(Throughput::Elements(PACKETS as u64));
+    group.bench_function("engine_run_set_a_64b_10k", |b| {
+        b.iter_batched(
+            || Testbed::build_with_mode(&p, &e, lemur_dataplane::RuntimeMode::Fused).unwrap(),
+            |mut testbed| {
+                let report = testbed.run(&specs, config);
+                assert!(report.ledger.injected as f64 > PACKETS * 0.99);
+                report
+            },
+            criterion::BatchSize::SmallInput,
+        );
+    });
+    group.finish();
+}
+
 /// Short measurement windows: these benches exist to regenerate the
 /// paper's cost comparisons, not to chase nanosecond precision.
 fn quick_config() -> Criterion {
@@ -141,6 +181,6 @@ fn quick_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick_config();
-    targets = bench_nsh, bench_switch_pipeline
+    targets = bench_nsh, bench_switch_pipeline, bench_engine_run
 }
 criterion_main!(benches);

@@ -14,6 +14,7 @@ use crate::traffic::{ChainSource, TrafficSpec};
 use lemur_bess::CoreId;
 use lemur_core::Slo;
 use lemur_ebpf::{Vm, XdpVerdict};
+use lemur_metacompiler::bessgen::ServerPipeline;
 use lemur_metacompiler::Deployment;
 pub use lemur_metacompiler::RuntimeMode;
 use lemur_nf::{AggregateObservables, AggregateUpdate, NfCtx, NfKind};
@@ -23,8 +24,8 @@ use lemur_placer::placement::{EvaluatedPlacement, PlacementProblem};
 use lemur_placer::topology::Tor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Propagation + PHY latency per link traversal (ns).
 const PROP_NS: u64 = 500;
@@ -230,10 +231,91 @@ impl Station {
     }
 }
 
+/// A [`ServerPipeline`]'s routing maps lowered once, at build time, into
+/// tables indexed by global subgroup index, so a server visit hashes
+/// nothing. The maps stay the source of truth (and stay `pub` for
+/// callers outside the engine); a subgroup the maps do not mention — in
+/// range or not — answers as they would: no instance, no rewrite, no
+/// internal hop, one replica.
+struct ServerTables {
+    routes: Vec<SubgroupRoute>,
+}
+
+struct SubgroupRoute {
+    /// `inst_of[replica]` = index into `pipeline.instances`.
+    inst_of: Vec<Option<usize>>,
+    /// Branch rewrites `(incoming spi, gate) → outgoing spi`, sorted.
+    gate_spi: Vec<((u32, usize), u32)>,
+    /// Intra-server wiring `gate → next subgroup`, sorted.
+    next: Vec<(usize, usize)>,
+    replica_count: usize,
+}
+
+impl ServerTables {
+    fn lower(pipeline: &ServerPipeline) -> ServerTables {
+        let mut routes: Vec<SubgroupRoute> = Vec::new();
+        fn route(routes: &mut Vec<SubgroupRoute>, sg: usize) -> &mut SubgroupRoute {
+            if routes.len() <= sg {
+                routes.resize_with(sg + 1, || SubgroupRoute {
+                    inst_of: Vec::new(),
+                    gate_spi: Vec::new(),
+                    next: Vec::new(),
+                    replica_count: 1,
+                });
+            }
+            &mut routes[sg]
+        }
+        for (&(sg, replica), &inst) in &pipeline.instance_map {
+            let inst_of = &mut route(&mut routes, sg).inst_of;
+            if inst_of.len() <= replica {
+                inst_of.resize(replica + 1, None);
+            }
+            inst_of[replica] = Some(inst);
+        }
+        for (&sg, rule) in &pipeline.mux_rules {
+            let r = route(&mut routes, sg);
+            r.gate_spi = rule.gate_spi.iter().map(|(&k, &v)| (k, v)).collect();
+            r.gate_spi.sort_unstable();
+        }
+        for (&(sg, gate), &next_sg) in &pipeline.internal_next {
+            route(&mut routes, sg).next.push((gate, next_sg));
+        }
+        for (&sg, &n) in &pipeline.replicas {
+            route(&mut routes, sg).replica_count = n;
+        }
+        for r in &mut routes {
+            r.next.sort_unstable();
+        }
+        ServerTables { routes }
+    }
+
+    fn instance(&self, sg: usize, replica: usize) -> Option<usize> {
+        *self.routes.get(sg)?.inst_of.get(replica)?
+    }
+
+    fn next_spi(&self, sg: usize, spi: u32, gate: usize) -> Option<u32> {
+        let rules = &self.routes.get(sg)?.gate_spi;
+        let i = rules.binary_search_by_key(&(spi, gate), |&(k, _)| k).ok()?;
+        Some(rules[i].1)
+    }
+
+    fn next_subgroup(&self, sg: usize, gate: usize) -> Option<usize> {
+        let next = &self.routes.get(sg)?.next;
+        let i = next.binary_search_by_key(&gate, |&(g, _)| g).ok()?;
+        Some(next[i].1)
+    }
+
+    fn replica_count(&self, sg: usize) -> usize {
+        self.routes.get(sg).map_or(1, |r| r.replica_count)
+    }
+}
+
 struct ServerSim {
-    pipeline: lemur_metacompiler::bessgen::ServerPipeline,
+    pipeline: ServerPipeline,
+    tables: ServerTables,
     demux: Station,
-    cores: HashMap<usize, Station>,
+    /// Worker-core stations, indexed by core id.
+    cores: Vec<Station>,
     clock_hz: f64,
     /// Discount for instances on the NIC's socket: the profile is
     /// worst-case cross-socket, so same-socket cores run faster.
@@ -286,6 +368,144 @@ enum Hop {
     /// last so that at an equal `(time, id)` every fault and packet hop
     /// settles before the epoch changes.
     EpochSwap,
+}
+
+/// One scheduled hop: `(time, id, hop)`, popped in ascending order. The
+/// id is the packet's (or `0` for faults, ticks and swaps, `u64::MAX - chain`
+/// for injects), so equal-time events replay in a fixed order; no two
+/// queued events share a key, hence pop order is a property of the keys
+/// alone and not of the queue that holds them.
+type Event = (u64, u64, Hop);
+
+/// Binary min-heap of [`Event`]s tuned to the engine's rhythm: nearly
+/// every `pop` is followed by one `push` (the popped packet's next hop).
+/// `pop` therefore leaves the root as a hole instead of repairing the
+/// heap, and the following `push` drops its event into the hole with a
+/// single sift-down — where pop-then-push on a plain heap pays a
+/// sift-down *and* a sift-up. A second `pop` (or nothing) arriving first
+/// just closes the hole the ordinary way. Either way every `pop` returns
+/// the least queued key, which is all the engine can observe.
+#[derive(Default)]
+struct EventQueue {
+    heap: Vec<Event>,
+    /// `heap[0]` was handed out by the last `pop` and is vacant.
+    hole: bool,
+}
+
+impl EventQueue {
+    fn push(&mut self, event: Event) {
+        if self.hole {
+            self.hole = false;
+            self.sift_down(event);
+        } else {
+            let mut i = self.heap.len();
+            self.heap.push(event);
+            while i > 0 {
+                let parent = (i - 1) / 2;
+                if self.heap[parent] <= event {
+                    break;
+                }
+                self.heap[i] = self.heap[parent];
+                i = parent;
+            }
+            self.heap[i] = event;
+        }
+    }
+
+    fn pop(&mut self) -> Option<Event> {
+        if self.hole {
+            self.hole = false;
+            let last = self.heap.pop()?;
+            if !self.heap.is_empty() {
+                self.sift_down(last);
+            }
+        }
+        let top = *self.heap.first()?;
+        self.hole = true;
+        Some(top)
+    }
+
+    /// Place `event` at the vacant root and restore heap order.
+    fn sift_down(&mut self, event: Event) {
+        let n = self.heap.len();
+        let mut i = 0;
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && self.heap[child + 1] < self.heap[child] {
+                child += 1;
+            }
+            if event <= self.heap[child] {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            i = child;
+        }
+        self.heap[i] = event;
+    }
+}
+
+/// Multiplicative (Fibonacci) hash for the sequential packet ids: one
+/// multiply spreads consecutive ids over the table's buckets and control
+/// bytes. Ids are minted by the engine, never read from input, so there
+/// is no collision attack for SipHash to defend against.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = (self.0 ^ id).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// The packets in flight, by id. An event whose packet is gone (dropped
+/// at an epoch swap) simply misses here; ids are never reused, so a
+/// stale event cannot find somebody else's packet.
+#[derive(Default)]
+struct PacketTable {
+    by_id: HashMap<u64, SimPacket, BuildHasherDefault<IdHasher>>,
+}
+
+impl PacketTable {
+    fn insert(&mut self, id: u64, packet: SimPacket) {
+        self.by_id.insert(id, packet);
+    }
+
+    fn get(&self, id: u64) -> Option<&SimPacket> {
+        self.by_id.get(&id)
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut SimPacket> {
+        self.by_id.get_mut(&id)
+    }
+
+    fn remove(&mut self, id: u64) -> Option<SimPacket> {
+        self.by_id.remove(&id)
+    }
+
+    fn len(&self) -> usize {
+        self.by_id.len()
+    }
+
+    /// Every in-flight id, ascending — the deterministic order an epoch
+    /// swap charges its update-time loss in.
+    fn sorted_ids(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = self.by_id.keys().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
 }
 
 /// A pre-built configuration waiting to be swapped in at the end of a
@@ -686,25 +906,21 @@ impl Testbed {
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0x1e307);
         let horizon_ns = ((config.warmup_s + config.duration_s) * 1e9) as u64;
         let warmup_ns = (config.warmup_s * 1e9) as u64;
-        let mut heap: BinaryHeap<Reverse<(u64, u64, Hop)>> = BinaryHeap::new();
-        let mut packets: HashMap<u64, SimPacket> = HashMap::new();
-        // Packet ids start at 1: id 0 is reserved for fault events so a
-        // fault at the same instant as a packet hop applies first.
+        // A packet has exactly one event queued at a time, and the event's
+        // id is the packet's key in `packets`; its frame and bookkeeping
+        // wait there between hops. Packet ids count up from 1 (injection
+        // order breaks ties at equal times); id 0 is reserved for fault
+        // events so a fault at the same instant as a packet hop applies
+        // first.
+        let mut queue = EventQueue::default();
+        let mut packets = PacketTable::default();
         let mut next_id: u64 = 1;
-        // Event ids double as FIFO tie-breakers; Hop carried inline except
-        // packet identity which rides in the id→packet map keyed by the
-        // event's second component.
-        // (One packet = one in-flight event at a time.)
         for (ci, src) in sources.iter().enumerate() {
-            heap.push(Reverse((
-                src.peek_time(),
-                u64::MAX - ci as u64,
-                Hop::Inject(ci),
-            )));
+            queue.push((src.peek_time(), u64::MAX - ci as u64, Hop::Inject(ci)));
         }
         for (fi, ev) in plan.events().iter().enumerate() {
             if ev.at_ns < horizon_ns {
-                heap.push(Reverse((ev.at_ns, 0, Hop::Fault(fi))));
+                queue.push((ev.at_ns, 0, Hop::Fault(fi)));
             }
         }
         // One pacemaker tick per guard window (chained as they pop), so
@@ -714,7 +930,7 @@ impl Testbed {
         // unchanged by the extra no-op pops.
         let first_tick = warmup_ns + config.window_ns.max(1);
         if (!slos.is_empty() || tail.is_some()) && first_tick <= horizon_ns {
-            heap.push(Reverse((first_tick, 0, Hop::WindowTick)));
+            queue.push((first_tick, 0, Hop::WindowTick));
         }
         let mut fault_state = FaultState::healthy(self.servers.len());
         let mut timeline: Vec<TimelineEvent> = Vec::new();
@@ -841,7 +1057,7 @@ impl Testbed {
                                 epoch,
                                 rollback: staged.rollback,
                             });
-                            heap.push(Reverse(($now + drain_ns, 0, Hop::EpochSwap)));
+                            queue.push(($now + drain_ns, 0, Hop::EpochSwap));
                             pending_swap = Some(staged);
                         }
                     }
@@ -849,7 +1065,7 @@ impl Testbed {
             };
         }
 
-        while let Some(Reverse((now, id, hop))) = heap.pop() {
+        while let Some((now, id, hop)) = queue.pop() {
             // Close any SLO-guard windows that ended before this event.
             if windows_on {
                 while window_start + window_ns <= now && window_start + window_ns <= horizon_ns {
@@ -967,14 +1183,14 @@ impl Testbed {
                                 hops: 0,
                             },
                         );
-                        heap.push(Reverse((now, pid, Hop::AtTor)));
+                        queue.push((now, pid, Hop::AtTor));
                     }
                     if sources[ci].peek_time() < horizon_ns {
-                        heap.push(Reverse((
+                        queue.push((
                             sources[ci].peek_time(),
                             u64::MAX - ci as u64,
                             Hop::Inject(ci),
-                        )));
+                        ));
                     }
                 }
                 Hop::Deliver => {
@@ -982,7 +1198,7 @@ impl Testbed {
                     // swap) is skipped, not a panic: post-swap heaps
                     // legitimately hold hops for packets that no longer
                     // exist.
-                    let Some(p) = packets.remove(&id) else {
+                    let Some(p) = packets.remove(id) else {
                         continue;
                     };
                     ledger.delivered += 1;
@@ -1005,7 +1221,7 @@ impl Testbed {
                     }
                 }
                 Hop::AtTor => {
-                    let Some(p) = packets.get_mut(&id) else {
+                    let Some(p) = packets.get_mut(id) else {
                         continue;
                     };
                     p.hops += 1;
@@ -1057,9 +1273,7 @@ impl Testbed {
                             // Out port: serialize on the ToR uplink.
                             let ser = (bits / self.tor_rate_bps * 1e9) as u64;
                             match self.tor_out.serve(after_pipe, ser, config.max_queue_ns) {
-                                Some(done) => {
-                                    heap.push(Reverse((done + PROP_NS, id, Hop::Deliver)))
-                                }
+                                Some(done) => queue.push((done + PROP_NS, id, Hop::Deliver)),
                                 None => drop_packet(
                                     &mut packets,
                                     &mut stats,
@@ -1103,9 +1317,7 @@ impl Testbed {
                             let ser = (bits / self.link_bps[s] * 1e9) as u64;
                             match self.tor_to_server[s].serve(after_pipe, ser, config.max_queue_ns)
                             {
-                                Some(done) => {
-                                    heap.push(Reverse((done + PROP_NS, id, Hop::AtServer(s))))
-                                }
+                                Some(done) => queue.push((done + PROP_NS, id, Hop::AtServer(s))),
                                 None => drop_packet(
                                     &mut packets,
                                     &mut stats,
@@ -1135,9 +1347,7 @@ impl Testbed {
                             };
                             let ser = (bits / nic.link_bps * 1e9) as u64;
                             match nic.link_in.serve(after_pipe, ser, config.max_queue_ns) {
-                                Some(done) => {
-                                    heap.push(Reverse((done + PROP_NS, id, Hop::AtNic(n))))
-                                }
+                                Some(done) => queue.push((done + PROP_NS, id, Hop::AtNic(n))),
                                 None => drop_packet(
                                     &mut packets,
                                     &mut stats,
@@ -1167,7 +1377,7 @@ impl Testbed {
                             );
                             continue;
                         };
-                        let Some(p) = packets.get_mut(&id) else {
+                        let Some(p) = packets.get_mut(id) else {
                             continue;
                         };
                         server_hop(
@@ -1183,7 +1393,7 @@ impl Testbed {
                     };
                     match outcome {
                         Ok(done_at) => {
-                            heap.push(Reverse((done_at, id, Hop::ServerEgress(s))));
+                            queue.push((done_at, id, Hop::ServerEgress(s)));
                         }
                         Err(reason) => drop_packet(
                             &mut packets,
@@ -1200,7 +1410,7 @@ impl Testbed {
                 Hop::ServerEgress(s) => {
                     // Back over the server→ToR link, reserved at the moment
                     // the core actually finished.
-                    let Some(p) = packets.get(&id) else { continue };
+                    let Some(p) = packets.get(id) else { continue };
                     if !fault_state.link_is_up(s) {
                         drop_packet(
                             &mut packets,
@@ -1217,7 +1427,7 @@ impl Testbed {
                     let bits = p.buf.len() as f64 * 8.0;
                     let ser = (bits / self.link_bps[s] * 1e9) as u64;
                     match self.server_to_tor[s].serve(now, ser, config.max_queue_ns) {
-                        Some(done) => heap.push(Reverse((done + PROP_NS, id, Hop::AtTor))),
+                        Some(done) => queue.push((done + PROP_NS, id, Hop::AtTor)),
                         None => drop_packet(
                             &mut packets,
                             &mut stats,
@@ -1248,7 +1458,7 @@ impl Testbed {
                             );
                             continue;
                         };
-                        let Some(p) = packets.get_mut(&id) else {
+                        let Some(p) = packets.get_mut(id) else {
                             continue;
                         };
                         nic_hop(nic, p, now, &config).map(|done_at| {
@@ -1258,7 +1468,7 @@ impl Testbed {
                         })
                     };
                     match outcome {
-                        Ok(Some(done)) => heap.push(Reverse((done + PROP_NS, id, Hop::AtTor))),
+                        Ok(Some(done)) => queue.push((done + PROP_NS, id, Hop::AtTor)),
                         Ok(None) => drop_packet(
                             &mut packets,
                             &mut stats,
@@ -1286,7 +1496,7 @@ impl Testbed {
                     // this tick paces; just chain the next one.
                     let next = now + window_ns;
                     if next <= horizon_ns {
-                        heap.push(Reverse((next, 0, Hop::WindowTick)));
+                        queue.push((next, 0, Hop::WindowTick));
                     }
                 }
                 Hop::EpochSwap => {
@@ -1329,8 +1539,7 @@ impl Testbed {
                     // missed the drain window and is charged to the swap
                     // (update-time loss). Sorted id order keeps the drop
                     // sequence — and thus the report — deterministic.
-                    let mut stale: Vec<u64> = packets.keys().copied().collect();
-                    stale.sort_unstable();
+                    let stale = packets.sorted_ids();
                     let packets_lost = stale.len() as u64;
                     for sid in stale {
                         drop_packet(
@@ -1497,10 +1706,12 @@ fn build_parts(
             .first()
             .map(|n| n.socket)
             .unwrap_or(lemur_bess::SocketId(0));
+        let n_cores = pipe.instances.iter().map(|i| i.core + 1).max().unwrap_or(0);
         servers[s] = Some(ServerSim {
+            tables: ServerTables::lower(&pipe),
             pipeline: pipe,
             demux: Station::default(),
-            cores: HashMap::new(),
+            cores: vec![Station::default(); n_cores],
             clock_hz: spec.clock_hz,
             same_socket_factor: 1.0 / spec.cross_socket_penalty,
             nic_socket,
@@ -2045,7 +2256,7 @@ fn apply_tail_cells(
 
 #[allow(clippy::too_many_arguments)]
 fn drop_packet(
-    packets: &mut HashMap<u64, SimPacket>,
+    packets: &mut PacketTable,
     stats: &mut [ChainStats],
     window_acc: &mut [WindowAcc],
     ledger: &mut ConservationLedger,
@@ -2054,7 +2265,7 @@ fn drop_packet(
     warmup_ns: u64,
     horizon_ns: u64,
 ) {
-    if let Some(p) = packets.remove(&id) {
+    if let Some(p) = packets.remove(id) {
         // The ledger is unconditional — every injected packet lands in
         // exactly one bucket regardless of warmup windows.
         ledger.record_drop(reason);
@@ -2101,10 +2312,9 @@ fn server_hop(
         if faults.crashed_subgroups.contains(&sg_idx) {
             return Err(DropReason::Fault);
         }
-        let inst_idx = *server
-            .pipeline
-            .instance_map
-            .get(&(sg_idx, replica))
+        let inst_idx = server
+            .tables
+            .instance(sg_idx, replica)
             .ok_or(DropReason::Verdict)?;
         let core = server.pipeline.instances[inst_idx].core;
         if faults.failed_cores.contains(&(server_idx, core)) {
@@ -2122,8 +2332,7 @@ fn server_hop(
         };
         let sample = 0.94 + 0.06 * rng.gen::<f64>();
         let service_ns = (base * numa * sample / server.clock_hz * 1e9) as u64;
-        let station = server.cores.entry(core).or_default();
-        let done = station
+        let done = server.cores[core]
             .serve(at, service_ns, config.max_queue_ns)
             .ok_or(DropReason::QueueOverflow)?;
         at = done;
@@ -2136,17 +2345,15 @@ fn server_hop(
             .ok_or(DropReason::Verdict)?;
 
         // Branch decision: rewrite the SPI per the routing plan.
-        if let Some(rule) = server.pipeline.mux_rules.get(&sg_idx) {
-            if let Some(&next_spi) = rule.gate_spi.get(&(spi, gate)) {
-                spi = next_spi;
-            }
+        if let Some(next_spi) = server.tables.next_spi(sg_idx, spi, gate) {
+            spi = next_spi;
         }
 
         // Continue inside the server, or leave.
-        match server.pipeline.internal_next.get(&(sg_idx, gate)) {
-            Some(&next_sg) => {
+        match server.tables.next_subgroup(sg_idx, gate) {
+            Some(next_sg) => {
                 sg_idx = next_sg;
-                let n = server.pipeline.replicas.get(&next_sg).copied().unwrap_or(1);
+                let n = server.tables.replica_count(next_sg);
                 replica = if n <= 1 {
                     0
                 } else {
@@ -2238,6 +2445,176 @@ mod tests {
             warmup_s: 0.001,
             ..SimConfig::default()
         }
+    }
+
+    /// Placement problem over canonical chains (numbered 1–5) at δ.
+    fn problem(which: &[usize], delta: f64) -> PlacementProblem {
+        let chains: Vec<CanonicalChain> =
+            which.iter().map(|&w| CanonicalChain::ALL[w - 1]).collect();
+        setup(&chains, delta).0
+    }
+
+    /// The dense server tables answer exactly as the `ServerPipeline`
+    /// maps they were lowered from — for the keys the maps hold and for
+    /// keys around them that they don't — on every pipeline of the
+    /// heuristic and hardware-preferred placements of Figure 2's sets a–e.
+    #[test]
+    fn server_tables_answer_as_the_pipeline_maps_do() {
+        use lemur_placer::oracle::AlwaysFits;
+        const SETS: [&[usize]; 5] = [
+            &[1, 2, 3, 4],
+            &[1, 2, 3],
+            &[1, 2, 4],
+            &[1, 3, 4],
+            &[2, 3, 4],
+        ];
+        // Present keys seen per map, so the test can't pass on empty maps.
+        let (mut instances, mut rewrites, mut internal, mut replicated) = (0, 0, 0, 0);
+        let mut pipelines = 0;
+        for set in SETS {
+            let p = problem(set, 0.5);
+            let hw = lemur_placer::baselines::hw_preferred_assignment(&p);
+            let placements = [
+                lemur_placer::heuristic::place(&p, &AlwaysFits).unwrap(),
+                p.evaluate(&hw, CoreStrategy::WaterFill).unwrap(),
+            ];
+            for e in &placements {
+                let deployment = lemur_metacompiler::compile(&p, e).unwrap();
+                let servers = build_parts(&p, e, deployment).unwrap().servers;
+                for server in servers.iter().flatten() {
+                    pipelines += 1;
+                    let (pipe, tables) = (&server.pipeline, &server.tables);
+                    // Probe a box around every key any map mentions.
+                    let max_sg = e.subgroups.len() + 2;
+                    let max_replica = pipe.instance_map.keys().map(|k| k.1).max().unwrap_or(0) + 2;
+                    let mut gates: Vec<usize> = pipe.internal_next.keys().map(|k| k.1).collect();
+                    let mut spis: Vec<u32> = vec![0, 1, u32::MAX];
+                    for rule in pipe.mux_rules.values() {
+                        for (&(spi, gate), &out) in &rule.gate_spi {
+                            spis.extend([spi, out, spi + 1]);
+                            gates.push(gate);
+                        }
+                    }
+                    let max_gate = gates.iter().max().copied().unwrap_or(0) + 2;
+                    for sg in 0..=max_sg {
+                        for replica in 0..=max_replica {
+                            let want = pipe.instance_map.get(&(sg, replica)).copied();
+                            assert_eq!(tables.instance(sg, replica), want, "({sg}, {replica})");
+                            instances += usize::from(want.is_some());
+                        }
+                        let want = pipe.replicas.get(&sg).copied();
+                        assert_eq!(tables.replica_count(sg), want.unwrap_or(1), "subgroup {sg}");
+                        replicated += usize::from(want.is_some_and(|n| n > 1));
+                        for gate in 0..=max_gate {
+                            let want = pipe.internal_next.get(&(sg, gate)).copied();
+                            assert_eq!(tables.next_subgroup(sg, gate), want, "({sg}, {gate})");
+                            internal += usize::from(want.is_some());
+                            for &spi in &spis {
+                                let want = pipe
+                                    .mux_rules
+                                    .get(&sg)
+                                    .and_then(|r| r.gate_spi.get(&(spi, gate)))
+                                    .copied();
+                                assert_eq!(
+                                    tables.next_spi(sg, spi, gate),
+                                    want,
+                                    "({sg}, {spi}, {gate})"
+                                );
+                                rewrites += usize::from(want.is_some());
+                            }
+                        }
+                    }
+                    // Every worker core a visit can land on has a station.
+                    assert!(pipe.instances.iter().all(|i| i.core < server.cores.len()));
+                }
+            }
+        }
+        assert!(pipelines >= 10, "{pipelines} pipelines");
+        assert!(
+            instances > 0 && rewrites > 0 && internal > 0 && replicated > 0,
+            "vacuous: {instances} instances, {rewrites} rewrites, {internal} internal hops, \
+             {replicated} replicated subgroups"
+        );
+    }
+
+    proptest::proptest! {
+        #![cases = 300]
+
+        /// `EventQueue` pops what a `BinaryHeap<Reverse<_>>` pops, under
+        /// any interleaving: push-push, pop-pop, pop-then-push (the hole
+        /// path), equal times, equal whole keys, and pops on empty.
+        #[test]
+        fn event_queue_pops_in_binary_heap_order(
+            preload in 0usize..64,
+            ops in proptest::collection::vec((0usize..4, 0u64..6, 0u64..4), 0..300),
+        ) {
+            use std::cmp::Reverse;
+            use std::collections::BinaryHeap;
+            let event = |t: u64, id: u64| -> Event {
+                let hop = match id {
+                    0 => Hop::Fault(t as usize),
+                    1 => Hop::AtTor,
+                    2 => Hop::AtServer(t as usize % 2),
+                    _ => Hop::EpochSwap,
+                };
+                (t, id, hop)
+            };
+            let mut queue = EventQueue::default();
+            let mut reference: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
+            proptest::prop_assert_eq!(queue.pop(), None);
+            for i in 0..preload as u64 {
+                let e = event(i * 7 % 11, i % 4);
+                queue.push(e);
+                reference.push(Reverse(e));
+            }
+            for (op, t, id) in ops {
+                let pops = match op {
+                    0 | 1 => {
+                        queue.push(event(t, id));
+                        reference.push(Reverse(event(t, id)));
+                        0
+                    }
+                    2 => 1,
+                    _ => 2,
+                };
+                for _ in 0..pops {
+                    proptest::prop_assert_eq!(queue.pop(), reference.pop().map(|Reverse(e)| e));
+                }
+            }
+            while let Some(Reverse(e)) = reference.pop() {
+                proptest::prop_assert_eq!(queue.pop(), Some(e));
+            }
+            proptest::prop_assert_eq!(queue.pop(), None);
+            proptest::prop_assert_eq!(queue.pop(), None);
+        }
+    }
+
+    #[test]
+    fn packet_table_misses_stale_ids_and_sorts_what_is_left() {
+        let packet = |chain| SimPacket {
+            buf: PacketBuf::zeroed(0),
+            chain,
+            t_in: 0,
+            ingress_bits: 0,
+            hops: 0,
+        };
+        let mut table = PacketTable::default();
+        for id in (1..=1000u64).rev() {
+            table.insert(id, packet(id as usize));
+        }
+        for id in (1..=1000).filter(|id| id % 3 != 0) {
+            assert_eq!(table.remove(id).map(|p| p.chain), Some(id as usize));
+        }
+        assert_eq!(table.len(), 333);
+        // Gone is gone: a stale event's id finds nothing, not a neighbour.
+        assert!(table.get(1).is_none() && table.get_mut(2).is_none());
+        assert!(table.remove(4).is_none() && table.get(0).is_none());
+        assert_eq!(table.get(999).map(|p| p.chain), Some(999));
+        let ids = table.sorted_ids();
+        assert_eq!(
+            ids,
+            (1..=1000).filter(|id| id % 3 == 0).collect::<Vec<u64>>()
+        );
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! [`ScenarioSpec`] twice yields byte-identical flow tables, so hybrid
 //! runs replay bit-for-bit.
 
+use crate::traffic::flow_tuple;
+use lemur_packet::{checksum, ethernet, ipv4, udp, PacketBuf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -402,7 +404,13 @@ pub struct FlowPacketSource {
     heap: BinaryHeap<Reverse<(u64, usize)>>,
     /// Source prefix base (the chain's classifier `/24`).
     prefix_base: u32,
-    payload_len: usize,
+    /// A whole frame of this source with everything its packets share
+    /// already in place — MACs, EtherType, the IPv4 header but for the
+    /// addresses and checksum, UDP destination port and length. A packet
+    /// is a clone of it with the flow's five-tuple, fill byte and the two
+    /// checksums patched in. Nothing is kept per flow: a packet-level run
+    /// holds a million flows.
+    template: PacketBuf,
     /// Surge-fault rate multiplier (1.0 nominally); scales the *gaps*
     /// of future arrivals, mirroring `ChainSource::set_rate_factor`.
     rate_factor: f64,
@@ -417,7 +425,7 @@ impl FlowPacketSource {
         scenario: &Scenario,
         chain: usize,
         keep: impl Fn(&FlowRecord) -> bool,
-        prefix: lemur_packet::ipv4::Cidr,
+        prefix: ipv4::Cidr,
         payload_len: usize,
     ) -> FlowPacketSource {
         let flows: Vec<FlowRecord> = scenario
@@ -430,12 +438,22 @@ impl FlowPacketSource {
         for (i, f) in flows.iter().enumerate() {
             heap.push(Reverse((f.start_ns, i)));
         }
+        let unset = ipv4::Address::new(0, 0, 0, 0);
+        let template = lemur_packet::builder::udp_packet(
+            ethernet::Address([2, 0, 0, 0, 0, 0x10]),
+            ethernet::Address([2, 0, 0, 0, 0, 0x20]),
+            unset,
+            unset,
+            0,
+            DST_PORT,
+            &vec![0; payload_len],
+        );
         FlowPacketSource {
             emitted: vec![0; flows.len()],
             flows,
             heap,
             prefix_base: prefix.address().to_u32(),
-            payload_len,
+            template,
             rate_factor: 1.0,
             horizon_ns: scenario.horizon_ns,
         }
@@ -462,7 +480,7 @@ impl FlowPacketSource {
     }
 
     /// Produce the next packet; `None` when every flow is exhausted.
-    pub fn next_packet(&mut self) -> Option<(u64, lemur_packet::PacketBuf)> {
+    pub fn next_packet(&mut self) -> Option<(u64, PacketBuf)> {
         let Reverse((t, idx)) = self.heap.pop()?;
         let f = self.flows[idx];
         self.emitted[idx] += 1;
@@ -473,24 +491,50 @@ impl FlowPacketSource {
                 self.heap.push(Reverse((next, idx)));
             }
         }
-        // Five-tuple mirrors ChainSource: host octet inside the /24,
-        // flows beyond 254 stay distinct via the source port.
-        let src = lemur_packet::ipv4::Address::from_u32(
-            self.prefix_base | ((f.flow_id as u32 % 254) + 1),
+        // The frame `udp_packet` would build around a payload of
+        // `flow_id as u8` bytes, without building the payload, copying it
+        // or reading it back: the payload is one byte repeated, so its
+        // contribution to the UDP checksum is a product.
+        let (src, dst, sport) = flow_tuple(self.prefix_base, f.flow_id);
+        let fill = f.flow_id as u8;
+        let mut pkt = self.template.clone();
+        let mut ip = ipv4::Packet::new_unchecked(&mut pkt.as_mut_slice()[ethernet::HEADER_LEN..]);
+        ip.set_src(src);
+        ip.set_dst(dst);
+        ip.fill_checksum();
+        let mut u = udp::Packet::new_unchecked(ip.payload_mut());
+        u.set_src_port(sport);
+        let udp_len = u.length();
+        let payload = u.payload_mut();
+        payload.fill(fill);
+        let sum = checksum::fold(
+            checksum::pseudo_header_v4(src.0, dst.0, 17, udp_len)
+                + u32::from(sport)
+                + u32::from(DST_PORT)
+                + u32::from(udp_len)
+                + constant_fill_sum(fill, payload.len()),
         );
-        let sport = 10_000 + (f.flow_id % 40_000) as u16;
-        let payload = vec![f.flow_id as u8; self.payload_len];
-        let pkt = lemur_packet::builder::udp_packet(
-            lemur_packet::ethernet::Address([2, 0, 0, 0, 0, 0x10]),
-            lemur_packet::ethernet::Address([2, 0, 0, 0, 0, 0x20]),
-            src,
-            lemur_packet::ipv4::Address::new(10, 200, (f.flow_id % 250) as u8, 1),
-            sport,
-            80,
-            &payload,
-        );
+        // RFC 768: an all-zero computed checksum is transmitted as all-ones.
+        u.set_checksum_field(if sum == 0 { 0xffff } else { sum });
         Some((t, pkt))
     }
+}
+
+/// UDP destination port of every generated flow.
+const DST_PORT: u16 = 80;
+
+/// Ones-complement sum (RFC 1071, folded to 16 bits) of `len` bytes all
+/// equal to `fill`: ⌊len/2⌋ words `fill·0x0101` plus, for odd `len`, the
+/// last byte as a high-order byte. Equals
+/// `checksum::ones_complement_sum(0, &vec![fill; len])` modulo `0xffff`.
+fn constant_fill_sum(fill: u8, len: usize) -> u32 {
+    let word = u64::from(u16::from_be_bytes([fill, fill]));
+    let odd = u64::from(u16::from_be_bytes([fill, 0])) * (len % 2) as u64;
+    let mut acc = (len / 2) as u64 * word + odd;
+    while acc > 0xffff {
+        acc = (acc & 0xffff) + (acc >> 16);
+    }
+    acc as u32
 }
 
 #[cfg(test)]
@@ -681,9 +725,7 @@ mod tests {
     #[test]
     fn flow_source_replays_schedule_exactly() {
         let s = spec().materialize();
-        let prefix =
-            lemur_packet::ipv4::Cidr::new(lemur_packet::ipv4::Address::new(10, 0, 1, 0), 24)
-                .unwrap();
+        let prefix = ipv4::Cidr::new(ipv4::Address::new(10, 0, 1, 0), 24).unwrap();
         let mut src = FlowPacketSource::new(&s, 0, |_| true, prefix, 100);
         let total: u64 = s.flows.iter().map(|f| f.packets).sum();
         assert_eq!(src.total_packets(), total);

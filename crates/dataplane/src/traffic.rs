@@ -76,6 +76,20 @@ impl TrafficSpec {
     }
 }
 
+/// The five-tuple fields that tell a chain's flows apart: `(src, dst,
+/// source port)` of flow `flow` inside the classifier `/24` whose network
+/// address is `prefix_base`. The host octet stays inside the /24; flows
+/// beyond 254 remain distinct five-tuples via the source port (and the
+/// destination's third octet). Every modulo applies to the full flow
+/// number — truncating first would alias flows ≥ 65 536.
+pub(crate) fn flow_tuple(prefix_base: u32, flow: u64) -> (ipv4::Address, ipv4::Address, u16) {
+    (
+        ipv4::Address::from_u32(prefix_base | ((flow % 254) as u32 + 1)),
+        ipv4::Address::new(10, 200, (flow % 250) as u8, 1),
+        10_000 + (flow % 40_000) as u16,
+    )
+}
+
 /// Generates packets for one chain at a steady rate.
 pub struct ChainSource {
     spec: TrafficSpec,
@@ -134,13 +148,9 @@ impl ChainSource {
         self.carry -= step as f64;
         self.next_ns += step.max(1);
 
-        let flow = (self.seq % self.spec.flows as u64) as u32;
+        let flow = self.seq % self.spec.flows as u64;
         self.seq += 1;
-        let base = self.spec.src_prefix.address().to_u32();
-        // Host octet stays inside the /24; flows beyond 254 remain
-        // distinct five-tuples via the source port.
-        let src = ipv4::Address::from_u32(base | ((flow % 254) + 1));
-        let sport = 10_000 + (flow as u16 % 40_000);
+        let (src, dst, sport) = flow_tuple(self.spec.src_prefix.address().to_u32(), flow);
         let payload: Vec<u8> = if self.rng.gen_bool(self.spec.redundancy) {
             self.redundant_payload.clone()
         } else {
@@ -152,7 +162,7 @@ impl ChainSource {
             ethernet::Address([2, 0, 0, 0, 0, 0x10]),
             ethernet::Address([2, 0, 0, 0, 0, 0x20]),
             src,
-            ipv4::Address::new(10, 200, (flow % 250) as u8, 1),
+            dst,
             sport,
             80,
             &payload,
@@ -180,6 +190,49 @@ mod tests {
         );
         let err = ChainIndexOutOfRange(70_000).to_string();
         assert!(err.contains("70000"), "{err}");
+    }
+
+    #[test]
+    fn flow_tuple_takes_every_modulo_of_the_whole_flow_number() {
+        let base = ipv4::Address::new(10, 0, 1, 0).to_u32();
+        let tuple = |flow| {
+            let (src, dst, sport) = flow_tuple(base, flow);
+            (src.0, dst.0, sport)
+        };
+        // Host octet wraps at 254 (never .0, never .255)…
+        assert_eq!(
+            tuple(253),
+            ([10, 0, 1, 254], [10, 200, 253 % 250, 1], 10_253)
+        );
+        assert_eq!(tuple(254), ([10, 0, 1, 1], [10, 200, 254 % 250, 1], 10_254));
+        assert_eq!(tuple(255), ([10, 0, 1, 2], [10, 200, 255 % 250, 1], 10_255));
+        // …the source port at 40 000…
+        assert_eq!(tuple(39_999).2, 49_999);
+        assert_eq!(tuple(40_000).2, 10_000);
+        // …and neither is computed on a truncated flow number: a
+        // `flow as u16 % 40_000` would send 65 536 back to port 10 000,
+        // onto flow 0's five-tuple minus the (equally aliased) host octet.
+        assert_eq!(tuple(65_535).2, 10_000 + 25_535);
+        assert_eq!(tuple(65_536).2, 10_000 + 25_536);
+        assert_eq!(tuple(65_536).0, [10, 0, 1, (65_536 % 254) as u8 + 1]);
+        assert_eq!(tuple(65_536).1, [10, 200, (65_536 % 250) as u8, 1]);
+    }
+
+    #[test]
+    fn chain_source_flows_past_65535_keep_distinct_ports() {
+        let mut spec = TrafficSpec::for_chain(1, 1e9).unwrap();
+        spec.flows = 70_000;
+        spec.payload_len = 0;
+        let mut src = ChainSource::new(spec, 7);
+        let ports: Vec<u16> = (0..65_537)
+            .map(|_| {
+                let (_, p) = src.next_packet();
+                FiveTuple::parse(p.as_slice()).unwrap().src_port
+            })
+            .collect();
+        assert_eq!(ports[0], 10_000);
+        assert_eq!(ports[65_535], 35_535);
+        assert_eq!(ports[65_536], 35_536, "flow 65 536 aliased onto flow 0");
     }
 
     #[test]

@@ -88,7 +88,38 @@ impl AhoCorasick {
     }
 
     /// True if any pattern occurs in `haystack`.
+    ///
+    /// Walking the DFA costs one load per byte that depends on the load
+    /// before it. Most payload bytes start no pattern, and in the root
+    /// state such a byte changes nothing (the root is never terminal), so
+    /// while in the root the scan looks only for the next byte that
+    /// leaves it — independent loads from one row, see [`first_start`] —
+    /// and walks the DFA from there until it falls back to the root.
     pub fn any_match(&self, haystack: &[u8]) -> bool {
+        let root = &self.goto_fn[0];
+        let mut rest = haystack;
+        while let Some(start) = first_start(root, rest) {
+            let mut node = 0u32;
+            let mut walked = start;
+            for &b in &rest[start..] {
+                node = self.goto_fn[node as usize][b as usize];
+                walked += 1;
+                if self.terminal[node as usize] {
+                    return true;
+                }
+                if node == 0 {
+                    break;
+                }
+            }
+            rest = &rest[walked..];
+        }
+        false
+    }
+
+    /// The plain one-state-per-byte walk [`AhoCorasick::any_match`]
+    /// replaced, kept as the reference the tests compare it to.
+    #[cfg(test)]
+    fn any_match_reference(&self, haystack: &[u8]) -> bool {
         let mut node = 0u32;
         for &b in haystack {
             node = self.goto_fn[node as usize][b as usize];
@@ -103,6 +134,24 @@ impl AhoCorasick {
     pub fn num_patterns(&self) -> usize {
         self.num_patterns
     }
+}
+
+/// Index of the first byte of `hay` that leaves the root state (`root` is
+/// the root's goto row; `0` = stays). Eight bytes are tested per branch —
+/// their row entries OR-ed together, so the loads overlap instead of each
+/// waiting on a compare — and only the group that has one is searched.
+fn first_start(root: &[u32; 256], hay: &[u8]) -> Option<usize> {
+    let mut clear = 0;
+    for group in hay.chunks_exact(8) {
+        if group.iter().fold(0, |any, &b| any | root[b as usize]) != 0 {
+            break;
+        }
+        clear += 8;
+    }
+    hay[clear..]
+        .iter()
+        .position(|&b| root[b as usize] != 0)
+        .map(|i| clear + i)
 }
 
 /// The UrlFilter NF: drops packets whose L4 payload contains any blocked
@@ -204,6 +253,7 @@ impl NetworkFunction for UrlFilter {
 mod tests {
     use super::*;
     use lemur_packet::builder::{tcp_packet, udp_packet};
+    use proptest::prelude::*;
 
     fn http(payload: &[u8]) -> PacketBuf {
         tcp_packet(
@@ -257,6 +307,65 @@ mod tests {
                 .iter()
                 .any(|p| text.windows(p.len()).any(|w| w == *p));
             assert_eq!(ac.any_match(text), expect, "text {:?}", text);
+        }
+    }
+
+    /// Bytes drawn from a small alphabet, so random haystacks actually
+    /// contain random patterns.
+    fn letters(
+        alphabet: &'static [u8],
+        len: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec((0..alphabet.len()).prop_map(|i| alphabet[i]), len)
+    }
+
+    proptest! {
+        #![cases = 4000]
+
+        /// The root-skipping scan and the plain DFA walk agree — over
+        /// pattern sets with shared prefixes, a pattern that is a suffix
+        /// of another, single-byte patterns and random ones, against
+        /// text-like, random and constant-fill haystacks (the payload
+        /// shapes the traffic generators emit), the empty one included.
+        #[test]
+        fn root_skip_scan_matches_plain_walk(
+            (set, random_set) in (0usize..6, prop::collection::vec(letters(b"abcm.", 1..6), 1..6)),
+            (shape, text) in (0usize..4, letters(b"abcdm.e xyz/", 0..200)),
+            random in prop::collection::vec(any::<u8>(), 0..200),
+            (fill, fill_letter, fill_len) in (any::<u8>(), 0usize..5, 0usize..200),
+            plant: bool,
+        ) {
+            let patterns: Vec<Vec<u8>> = match set {
+                0 => vec![b"abc".to_vec(), b"abd".to_vec(), b"ab".to_vec()],
+                1 => vec![b"abcd".to_vec(), b"bc".to_vec(), b"d".to_vec()],
+                2 => vec![b"m".to_vec()],
+                3 => vec![
+                    b"malware.example".to_vec(),
+                    b"phish.example".to_vec(),
+                    b"blocked.example".to_vec(),
+                ],
+                _ => random_set,
+            };
+            let hay = match shape {
+                0 => text,
+                1 => random,
+                2 => vec![fill; fill_len],
+                _ => vec![b"abcm."[fill_letter]; fill_len],
+            };
+            let ac = AhoCorasick::new(&patterns);
+            prop_assert_eq!(ac.any_match(&hay), ac.any_match_reference(&hay));
+            // A pattern's first byte as the haystack's last byte: the DFA
+            // walk starts on the final iteration.
+            let mut tail = hay.clone();
+            tail.push(patterns[0][0]);
+            prop_assert_eq!(ac.any_match(&tail), ac.any_match_reference(&tail));
+            // And a haystack that certainly contains a match, at its end.
+            if plant {
+                let mut planted = hay;
+                planted.extend_from_slice(&patterns[patterns.len() - 1]);
+                prop_assert!(ac.any_match_reference(&planted));
+                prop_assert!(ac.any_match(&planted));
+            }
         }
     }
 

@@ -100,6 +100,13 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
         self.buffer.as_mut()[field::LENGTH].copy_from_slice(&v.to_be_bytes());
     }
 
+    /// Store an already-computed checksum (for a sender that knows the sum
+    /// without reading the datagram back; see [`Packet::fill_checksum`]
+    /// for the zero → `0xffff` rule it must apply itself).
+    pub fn set_checksum_field(&mut self, v: u16) {
+        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&v.to_be_bytes());
+    }
+
     /// Recompute and store the checksum over the pseudo-header and datagram.
     pub fn fill_checksum(&mut self, src: ipv4::Address, dst: ipv4::Address) {
         self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&[0, 0]);

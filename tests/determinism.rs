@@ -90,3 +90,211 @@ proptest! {
         prop_assert_eq!(with_empty, plain);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Pinned report digests.
+//
+// The engine's hot-loop data structures (event queue, in-flight packet
+// table, per-server routing tables, flow frame builder) may be replaced,
+// but no replacement may move a single bit of a `SimReport`. The three
+// digests below were recorded from the build *before* PR 15 touched
+// `engine.rs`; each run asserts first that it exercises what it is there
+// for, so a digest can't keep passing on a run that went vacuous.
+
+mod pinned {
+    use super::*;
+    use lemur::control::{Supervisor, SupervisorConfig};
+    use lemur::core::Slo;
+    use lemur::dataplane::{
+        ChainLoad, FlowSizeDist, HybridConfig, HybridMode, NoopHook, Scenario, ScenarioSpec,
+    };
+    use lemur::placer::corealloc::CoreStrategy;
+    use lemur::placer::placement::EvaluatedPlacement;
+
+    /// FNV-1a over the report's `Debug` text (f64s print shortest
+    /// round-trip, so equal text ⇔ equal bits up to the sign of zero).
+    fn digest(report: &SimReport) -> u64 {
+        format!("{report:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    fn problem(
+        which: &[CanonicalChain],
+        topology: Topology,
+        delta: f64,
+    ) -> (PlacementProblem, Vec<TrafficSpec>) {
+        let mut specs = Vec::new();
+        let chains = which
+            .iter()
+            .enumerate()
+            .map(|(i, w)| {
+                let spec = TrafficSpec::for_chain(i + 1, 1e9).expect("chain index in range");
+                let aggregate = Some(spec.aggregate());
+                specs.push(spec);
+                ChainSpec {
+                    name: format!("chain{}", w.index()),
+                    graph: canonical_chain(*w),
+                    slo: None,
+                    aggregate,
+                }
+            })
+            .collect();
+        let mut p = PlacementProblem::new(chains, topology, NfProfiles::table4());
+        for i in 0..p.chains.len() {
+            let base = p.base_rate_bps(i);
+            p.chains[i].slo =
+                Some(Slo::elastic_pipe(delta * base, 100e9).with_priority((which.len() - i) as u8));
+        }
+        (p, specs)
+    }
+
+    fn testbed(p: &PlacementProblem, e: &EvaluatedPlacement) -> Testbed {
+        let deployment = lemur::metacompiler::compile(p, e).unwrap();
+        Testbed::build(p, e, deployment).unwrap()
+    }
+
+    /// Set a (chains 1–4) at 64-byte frames, predicted packet rate, guard
+    /// armed: every hop kind but NIC and EpochSwap, short event queue.
+    #[test]
+    fn set_a_64b_guarded_report_is_pinned() {
+        let (p, mut specs) = problem(&CanonicalChain::ALL[..4], Topology::testbed(), 0.5);
+        let e = lemur::placer::heuristic::place(&p, &AlwaysFits).unwrap();
+        let scale = 64.0 / 1500.0;
+        for (i, s) in specs.iter_mut().enumerate() {
+            s.payload_len = 64 - 42;
+            s.offered_bps = e.chain_rates_bps[i] * scale;
+        }
+        let slos: Vec<Option<Slo>> = p
+            .chains
+            .iter()
+            .map(|c| {
+                c.slo.map(|s| Slo {
+                    t_min_bps: s.t_min_bps * scale,
+                    ..s
+                })
+            })
+            .collect();
+        let config = SimConfig {
+            duration_s: 0.0009,
+            warmup_s: 0.0001,
+            seed: 5,
+            window_ns: 100_000,
+            ..SimConfig::default()
+        };
+        let report = testbed(&p, &e).run_with_faults(&specs, config, &FaultPlan::empty(), &slos);
+        assert!(report.ledger.balanced(), "{:?}", report.ledger);
+        assert!(report.ledger.delivered > 1_000, "{:?}", report.ledger);
+        assert_eq!(report.windows.len(), 9 * 4);
+        assert_eq!(digest(&report), 928744469612855629, "{:?}", report.ledger);
+    }
+
+    /// Hybrid engine at θ = 512 with enough concurrent heavy flows to
+    /// overflow the ToR→server link: a deep event queue, most materialized
+    /// packets dropped at the ToR, tail cells applied at window closes.
+    #[test]
+    fn hybrid_theta_512_overflowing_link_report_is_pinned() {
+        let (p, specs) = problem(
+            &[CanonicalChain::Chain3, CanonicalChain::Chain5],
+            Topology::testbed(),
+            0.3,
+        );
+        let a = lemur::placer::baselines::hw_preferred_assignment(&p);
+        let e = p.evaluate(&a, CoreStrategy::WaterFill).unwrap();
+        let config = SimConfig {
+            duration_s: 0.002,
+            warmup_s: 0.0005,
+            seed: 3,
+            window_ns: 500_000,
+            ..SimConfig::default()
+        };
+        let horizon_ns = ((config.warmup_s + config.duration_s) * 1e9) as u64;
+        let scenario: Scenario = ScenarioSpec {
+            seed: 9,
+            horizon_ns,
+            chains: (0..2)
+                .map(|ci| ChainLoad {
+                    flows: 3_000,
+                    flow_rate_pps: 400_000.0 + 100_000.0 * ci as f64,
+                    size: FlowSizeDist {
+                        alpha: 1.1,
+                        min_packets: 1,
+                        max_packets: 2_048,
+                    },
+                    diurnal: None,
+                    surges: vec![],
+                })
+                .collect(),
+        }
+        .materialize();
+        let slos: Vec<Option<Slo>> = p.chains.iter().map(|c| c.slo).collect();
+        let mode = HybridMode::Hybrid(HybridConfig {
+            heavy_min_packets: 512,
+            ..HybridConfig::default()
+        });
+        let report = testbed(&p, &e)
+            .run_scenario_supervised(
+                &scenario,
+                &specs,
+                config,
+                &FaultPlan::empty(),
+                &slos,
+                &mode,
+                &mut NoopHook,
+            )
+            .unwrap();
+        assert!(report.ledger.balanced(), "{:?}", report.ledger);
+        assert!(report.ledger.drops_queue > 0, "{:?}", report.ledger);
+        assert!(report.ledger.delivered > 0, "{:?}", report.ledger);
+        assert_eq!(digest(&report), 16620581297038614258, "{:?}", report.ledger);
+    }
+
+    /// Supervised run that loses a link, repairs and commits a swap with
+    /// packets still in flight: their events outlive them (the table's
+    /// miss path) and they are charged to the swap in sorted id order.
+    #[test]
+    fn supervised_swap_report_is_pinned() {
+        let (p, mut specs) = problem(
+            &[CanonicalChain::Chain3, CanonicalChain::Chain2],
+            Topology::with_servers(3),
+            0.3,
+        );
+        let e = lemur::placer::heuristic::place(&p, &AlwaysFits).unwrap();
+        let deployment = lemur::metacompiler::compile(&p, &e).unwrap();
+        for (i, s) in specs.iter_mut().enumerate() {
+            s.offered_bps = (e.chain_rates_bps[i] * 1.1).max(1e8);
+        }
+        let slos: Vec<Option<Slo>> = p.chains.iter().map(|c| c.slo).collect();
+        let mut supervisor = Supervisor::new(
+            &p,
+            &e,
+            &deployment,
+            &AlwaysFits,
+            SupervisorConfig::default(),
+        );
+        let plan = FaultPlan::empty().with(
+            3_000_000,
+            FaultKind::LinkDown {
+                server: e.subgroups[0].server,
+            },
+        );
+        let config = SimConfig {
+            duration_s: 0.012,
+            warmup_s: 0.002,
+            seed: 11,
+            window_ns: 1_000_000,
+            ..SimConfig::default()
+        };
+        let mut testbed = Testbed::build(&p, &e, deployment).unwrap();
+        let report = testbed.run_supervised(&specs, config, &plan, &slos, &mut supervisor);
+        assert!(report.ledger.balanced(), "{:?}", report.ledger);
+        assert!(report.commits() >= 1, "no swap committed");
+        assert!(
+            report.update_time_loss() > 0,
+            "swap found nothing in flight"
+        );
+        assert_eq!(digest(&report), 2073241478725074100, "{:?}", report.ledger);
+    }
+}
