@@ -75,7 +75,8 @@ fn bench_per_byte_nfs(c: &mut Criterion) {
 
 fn bench_crypto(c: &mut Criterion) {
     use lemur_nf::crypto::{
-        cbc_decrypt, cbc_encrypt, cbc_encrypt_in_place, pkcs7_pad_len, Aes128, ChaCha20,
+        cbc_decrypt, cbc_decrypt_in_place, cbc_encrypt, cbc_encrypt_in_place, pkcs7_pad_len,
+        Aes128, ChaCha20,
     };
     let data = vec![0xabu8; 1400];
     let iv = [0u8; 16];
@@ -90,12 +91,27 @@ fn bench_crypto(c: &mut Criterion) {
     group.bench_function("aes128_cbc_decrypt", |b| {
         b.iter(|| cbc_decrypt(&aes, &iv, &cipher));
     });
-    // One padded buffer enciphered over and over: no allocation, no copy.
-    let mut padded = data.clone();
-    padded.resize(data.len() + pkcs7_pad_len(data.len()), 0);
-    group.bench_function("aes128_cbc_in_place", |b| {
-        b.iter(|| cbc_encrypt_in_place(&aes, &iv, &mut padded));
-    });
+    // Both AES bodies on one machine: the table body pinned, and the AES
+    // instructions where `Aes128::new` finds them.
+    let table = Aes128::table_only(b"0123456789abcdef");
+    for (name, key) in [("native", &aes), ("table", &table)] {
+        if name == "native" && !key.is_native() {
+            continue;
+        }
+        // One padded buffer enciphered over and over: no allocation, no copy.
+        let mut padded = data.clone();
+        padded.resize(data.len() + pkcs7_pad_len(data.len()), 0);
+        group.bench_function(BenchmarkId::new("aes128_cbc_in_place", name), |b| {
+            b.iter(|| cbc_encrypt_in_place(key, &iv, &mut padded));
+        });
+        group.bench_function(BenchmarkId::new("aes128_cbc_decrypt_in_place", name), |b| {
+            b.iter_batched(
+                || cipher.clone(),
+                |mut buf| cbc_decrypt_in_place(key, &iv, &mut buf),
+                criterion::BatchSize::SmallInput,
+            );
+        });
+    }
     group.bench_function("chacha20", |b| {
         b.iter_batched(
             || data.clone(),

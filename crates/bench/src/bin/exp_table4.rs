@@ -23,6 +23,16 @@ fn main() {
     let runs = 20;
     let pkts = 400;
     println!("=== Table 4: profiled NF costs (cycles/packet on this machine) ===\n");
+    // The Encrypt row depends on which AES body this CPU selects.
+    let aes = lemur_nf::crypto::Aes128::new(&[0; 16]);
+    println!(
+        "AES body behind the Encrypt row: {}\n",
+        if aes.is_native() {
+            "native (the CPU's AES instructions)"
+        } else {
+            "table (no AES instructions detected)"
+        }
+    );
     println!(
         "{:<22} {:>6} {:>9} {:>9} {:>9} {:>8}  paper(mean/min/max)",
         "NF", "NUMA", "Mean", "Min", "Max", "spread"

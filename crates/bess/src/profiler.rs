@@ -193,14 +193,18 @@ mod tests {
 
     #[test]
     fn chacha_faster_than_aes_on_server() {
-        // Table 3 calls it "Fast Enc." for a reason.
-        let fast = quick(NfKind::FastEncrypt, TrafficPattern::LongLived);
-        let slow = quick(NfKind::Encrypt, TrafficPattern::LongLived);
-        assert!(
-            fast.mean_cycles < slow.mean_cycles,
-            "chacha {:.0} vs aes {:.0}",
-            fast.mean_cycles,
-            slow.mean_cycles
+        // Table 3 calls it "Fast Enc." for a reason — a software one. It
+        // holds against the table cipher; where Encrypt runs on the CPU's
+        // AES instructions the host-measured order is the other way round,
+        // and the profiler must see that too. Best run of each: a
+        // preempted run must not decide the order.
+        let chacha = quick(NfKind::FastEncrypt, TrafficPattern::LongLived).min_cycles;
+        let aes = quick(NfKind::Encrypt, TrafficPattern::LongLived).min_cycles;
+        let aes_native = lemur_nf::crypto::Aes128::new(&[0; 16]).is_native();
+        assert_eq!(
+            chacha < aes,
+            !aes_native,
+            "chacha {chacha:.0} vs aes {aes:.0}, AES instructions: {aes_native}"
         );
     }
 }

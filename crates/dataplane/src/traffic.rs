@@ -1,6 +1,6 @@
 //! Deterministic traffic generation for the experiments.
 
-use lemur_packet::builder::udp_packet;
+use lemur_packet::builder::udp_packet_with;
 use lemur_packet::{ethernet, ipv4, PacketBuf};
 use lemur_placer::PACKET_BYTES;
 use rand::rngs::StdRng;
@@ -151,21 +151,23 @@ impl ChainSource {
         let flow = self.seq % self.spec.flows as u64;
         self.seq += 1;
         let (src, dst, sport) = flow_tuple(self.spec.src_prefix.address().to_u32(), flow);
-        let payload: Vec<u8> = if self.rng.gen_bool(self.spec.redundancy) {
-            self.redundant_payload.clone()
-        } else {
-            (0..self.spec.payload_len)
-                .map(|_| self.rng.gen::<u8>())
-                .collect()
-        };
-        let pkt = udp_packet(
+        // The payload is drawn straight into the frame: one coin for
+        // redundant-or-not, then the fixed text or one draw per byte.
+        let pkt = udp_packet_with(
             ethernet::Address([2, 0, 0, 0, 0, 0x10]),
             ethernet::Address([2, 0, 0, 0, 0, 0x20]),
             src,
             dst,
             sport,
             80,
-            &payload,
+            self.spec.payload_len,
+            |payload| {
+                if self.rng.gen_bool(self.spec.redundancy) {
+                    payload.copy_from_slice(&self.redundant_payload);
+                } else {
+                    payload.fill_with(|| self.rng.gen::<u8>());
+                }
+            },
         );
         (t, pkt)
     }

@@ -2,11 +2,16 @@
 //! and a closed-form UDP checksum instead of calling
 //! `lemur_packet::builder::udp_packet` per packet. Whatever it emits must
 //! still be, byte for byte, the frame `udp_packet` builds around a payload
-//! of `flow_id as u8` bytes.
+//! of `flow_id as u8` bytes. `ChainSource` draws its payload straight into
+//! the frame; that too must be the frame `udp_packet` builds around the
+//! same draws.
 
-use lemur_dataplane::{FlowPacketSource, FlowRecord, Scenario};
+use lemur_dataplane::traffic::ChainSource;
+use lemur_dataplane::{FlowPacketSource, FlowRecord, Scenario, TrafficSpec};
 use lemur_packet::builder::udp_packet;
 use lemur_packet::{ethernet, ipv4, udp, PacketBuf};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn prefix() -> ipv4::Cidr {
     ipv4::Cidr::new(ipv4::Address::new(10, 3, 7, 0), 24).unwrap()
@@ -34,8 +39,14 @@ fn scenario(flow_ids: &[u64]) -> Scenario {
     }
 }
 
-/// The frame the source is specified to emit for `flow_id`.
+/// The frame a flow source is specified to emit for `flow_id`.
 fn reference(flow_id: u64, payload_len: usize) -> PacketBuf {
+    reference_with(flow_id, &vec![flow_id as u8; payload_len])
+}
+
+/// The frame either source is specified to emit for `flow_id` around
+/// `payload`.
+fn reference_with(flow_id: u64, payload: &[u8]) -> PacketBuf {
     udp_packet(
         ethernet::Address([2, 0, 0, 0, 0, 0x10]),
         ethernet::Address([2, 0, 0, 0, 0, 0x20]),
@@ -43,7 +54,7 @@ fn reference(flow_id: u64, payload_len: usize) -> PacketBuf {
         ipv4::Address::new(10, 200, (flow_id % 250) as u8, 1),
         10_000 + (flow_id % 40_000) as u16,
         80,
-        &vec![flow_id as u8; payload_len],
+        payload,
     )
 }
 
@@ -82,6 +93,50 @@ fn frames_equal_udp_packet_across_five_tuple_wraps() {
     ];
     for payload_len in [0, 1, 2, 17, 22, 1458] {
         assert_frames_match(&flow_ids, payload_len);
+    }
+}
+
+/// `ChainSource` against `udp_packet` over a payload drawn the way it is
+/// specified to draw — one coin per packet, then the fixed text or one
+/// `u8` per byte — from a second generator on the same seed: never, mixed
+/// and always redundant, at an empty, a 64 B-frame and an MTU payload.
+#[test]
+fn chain_source_frames_equal_udp_packet_over_the_same_draws() {
+    const TEXT: &[u8] = b"The quick brown fox jumps over the lazy dog. ";
+    for redundancy in [0.0, 0.5, 1.0] {
+        for payload_len in [0usize, 22, 1458] {
+            let spec = TrafficSpec {
+                offered_bps: 1e9,
+                src_prefix: prefix(),
+                flows: 300,
+                payload_len,
+                redundancy,
+            };
+            let mut source = ChainSource::new(spec, 9);
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut redundant = 0;
+            for seq in 0..600u64 {
+                let payload: Vec<u8> = if rng.gen_bool(redundancy) {
+                    redundant += 1;
+                    TEXT.iter().copied().cycle().take(payload_len).collect()
+                } else {
+                    (0..payload_len).map(|_| rng.gen::<u8>()).collect()
+                };
+                let (_, pkt) = source.next_packet();
+                let want = reference_with(seq % 300, &payload);
+                assert!(
+                    pkt == want,
+                    "packet {seq}, payload {payload_len}, redundancy {redundancy}"
+                );
+                assert_eq!(pkt.headroom(), want.headroom());
+            }
+            let expected = match redundancy {
+                0.0 => 0..=0,
+                1.0 => 600..=600,
+                _ => 200..=400,
+            };
+            assert!(expected.contains(&redundant), "{redundant} redundant");
+        }
     }
 }
 

@@ -2,18 +2,34 @@
 //!
 //! Lemur's `Encrypt`/`Decrypt` NFs are specified as 128-bit AES-CBC
 //! (Table 3). We implement the cipher from scratch rather than pulling a
-//! crypto crate. The block functions are table-driven: a round is four
-//! lookups and four XORs per state column over the `Te`/`Td` tables, which
-//! fold SubBytes, ShiftRows and MixColumns (FIPS-197 §5.1, §5.3.5 "equivalent
-//! inverse cipher") into one `u32` per input byte. Every table — S-box,
-//! inverse S-box, `Te`, `Td` — is derived at first use from the GF(2⁸)
-//! arithmetic definition, never transcribed, which keeps them typo-proof;
-//! the byte-wise textbook rounds live on under `cfg(test)` as the oracle the
-//! table path is checked against.
+//! crypto crate. There are two bodies behind the same four entry points
+//! (`encrypt_block`, `decrypt_block`, `cbc_encrypt_in_place`,
+//! `cbc_decrypt_in_place`), and one expanded key serves both:
 //!
-//! This is a reproduction artifact, not a hardened implementation: table
-//! lookups indexed by secret bytes are not constant-time, and it must not be
-//! used to protect real traffic.
+//! * **Native** (`mod native`, x86-64 only): the CPU's AES instructions —
+//!   AESENC/AESENCLAST, and AESDEC/AESDECLAST over the equivalent-inverse
+//!   key schedule. [`Aes128::new`] asks `is_x86_feature_detected!` for
+//!   `aes`, `sse2` and `sse4.1` once per key; every entry point then forks
+//!   once per call (once per buffer for CBC — the block loop is inside the
+//!   `target_feature` function). What the CPU reports is the only selector:
+//!   there is no build or run-time option.
+//! * **Table** (everywhere else, and [`Aes128::table_only`]): a round is
+//!   four lookups and four XORs per state column over the `Te`/`Td` tables,
+//!   which fold SubBytes, ShiftRows and MixColumns (FIPS-197 §5.1, §5.3.5
+//!   "equivalent inverse cipher") into one `u32` per input byte. It is the
+//!   only body on a CPU without the instructions and the reference the
+//!   native body is tested against, block for block and buffer for buffer.
+//!
+//! Every table — S-box, inverse S-box, `Te`, `Td` — is derived at first use
+//! from the GF(2⁸) arithmetic definition, never transcribed, which keeps
+//! them typo-proof; the key expansion always runs on them. The byte-wise
+//! textbook rounds live on under `cfg(test)` as the oracle both bodies are
+//! checked against.
+//!
+//! This is a reproduction artifact, not a hardened implementation: the
+//! table body (and the key expansion) index lookups by secret bytes and are
+//! not constant-time — the native body has no secret-indexed lookup — and
+//! none of it may be used to protect real traffic.
 
 use std::sync::OnceLock;
 
@@ -105,14 +121,32 @@ const NR: usize = 10;
 /// Cipher block size in bytes.
 pub const BLOCK: usize = 16;
 
+/// One direction's round keys as big-endian column words, four per round.
+type Schedule = [u32; 4 * (NR + 1)];
+
 /// An expanded AES-128 key.
 #[derive(Clone)]
 pub struct Aes128 {
-    /// Round keys as big-endian column words, four per round.
-    enc_keys: [u32; 4 * (NR + 1)],
+    enc_keys: Schedule,
     /// Round keys of the equivalent inverse cipher: `enc_keys` in reverse
     /// round order, the middle rounds passed through InvMixColumns.
-    dec_keys: [u32; 4 * (NR + 1)],
+    dec_keys: Schedule,
+    /// The CPU has the AES instructions `mod native` is compiled for. Only
+    /// [`Aes128::new`] sets it, from detection: every call into that
+    /// module rests on it.
+    native: bool,
+}
+
+/// Whether this CPU runs the native body (never, off x86-64).
+fn native_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("aes")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 /// Byte `k` of a column word (row `k` of that column), as a table index.
@@ -136,7 +170,7 @@ fn sub_word(sbox: &[u8; 256], w: u32) -> u32 {
 fn rounds<const SHIFT: usize>(
     table: &[[u32; 256]; 4],
     sbox: &[u8; 256],
-    rk: &[u32; 4 * (NR + 1)],
+    rk: &Schedule,
     block: &mut [u8; BLOCK],
 ) {
     let mut s = [0u32; 4];
@@ -173,8 +207,19 @@ fn rounds<const SHIFT: usize>(
 }
 
 impl Aes128 {
-    /// Expand a 16-byte key.
+    /// Expand a 16-byte key; the block and CBC functions will run on the
+    /// CPU's AES instructions if it has them and on the tables otherwise.
     pub fn new(key: &[u8; 16]) -> Aes128 {
+        Aes128 {
+            native: native_detected(),
+            ..Aes128::table_only(key)
+        }
+    }
+
+    /// [`Aes128::new`] pinned to the table body whatever the CPU offers:
+    /// the reference for tests and benches, not something an NF is ever
+    /// built with.
+    pub fn table_only(key: &[u8; 16]) -> Aes128 {
         let t = tables();
         let mut w = [0u32; 4 * (NR + 1)];
         for i in 0..NK {
@@ -209,25 +254,163 @@ impl Aes128 {
         Aes128 {
             enc_keys: w,
             dec_keys,
+            native: false,
         }
+    }
+
+    /// Whether this key runs on the CPU's AES instructions.
+    pub fn is_native(&self) -> bool {
+        self.native
     }
 
     /// Encrypt one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.native {
+            // SAFETY: `native` is true only where `Aes128::new` saw
+            // `is_x86_feature_detected!` report aes, sse2 and sse4.1.
+            return unsafe { native::encrypt_block(&self.enc_keys, block) };
+        }
         let t = tables();
         rounds::<1>(&t.te, &t.sbox, &self.enc_keys, block);
     }
 
     /// Decrypt one 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; BLOCK]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.native {
+            // SAFETY: `native` is true only where `Aes128::new` saw
+            // `is_x86_feature_detected!` report aes, sse2 and sse4.1.
+            return unsafe { native::decrypt_block(&self.dec_keys, block) };
+        }
         let t = tables();
         rounds::<3>(&t.td, &t.inv_sbox, &self.dec_keys, block);
+    }
+}
+
+/// The same cipher on AESENC/AESDEC. Every function here is compiled for
+/// `aes,sse2,sse4.1` and may only be entered on a CPU that has all three;
+/// inside, the value intrinsics are safe and blocks move through
+/// `u128::{from,to}_le_bytes`, so there is no pointer to get wrong.
+#[cfg(target_arch = "x86_64")]
+mod native {
+    use super::{pkcs7_pad_of, Schedule, BLOCK, NR};
+    use std::arch::x86_64::{
+        __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
+        _mm_cvtsi128_si64, _mm_extract_epi64, _mm_set_epi64x, _mm_xor_si128,
+    };
+
+    type RoundKeys = [__m128i; NR + 1];
+
+    /// Sixteen bytes as the instructions see them: byte 0 in the lowest lane.
+    #[inline]
+    #[target_feature(enable = "aes,sse2,sse4.1")]
+    fn load(b: &[u8; BLOCK]) -> __m128i {
+        let v = u128::from_le_bytes(*b);
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
+    }
+
+    #[inline]
+    #[target_feature(enable = "aes,sse2,sse4.1")]
+    fn store(b: &mut [u8; BLOCK], v: __m128i) {
+        let (lo, hi) = (
+            _mm_cvtsi128_si64(v) as u64,
+            _mm_extract_epi64::<1>(v) as u64,
+        );
+        *b = (u128::from(hi) << 64 | u128::from(lo)).to_le_bytes();
+    }
+
+    /// The schedule's big-endian column words, byte for byte in block order.
+    #[inline]
+    #[target_feature(enable = "aes,sse2,sse4.1")]
+    fn round_keys(rk: &Schedule) -> RoundKeys {
+        std::array::from_fn(|r| {
+            let mut bytes = [0u8; BLOCK];
+            for (col, w) in bytes.chunks_exact_mut(4).zip(&rk[4 * r..4 * r + 4]) {
+                col.copy_from_slice(&w.to_be_bytes());
+            }
+            load(&bytes)
+        })
+    }
+
+    #[inline]
+    #[target_feature(enable = "aes,sse2,sse4.1")]
+    fn encrypt(rk: &RoundKeys, block: __m128i) -> __m128i {
+        let mut s = _mm_xor_si128(block, rk[0]);
+        for k in &rk[1..NR] {
+            s = _mm_aesenc_si128(s, *k);
+        }
+        _mm_aesenclast_si128(s, rk[NR])
+    }
+
+    /// `rk` is the equivalent-inverse-cipher schedule, which is the form
+    /// AESDEC takes its keys in.
+    #[inline]
+    #[target_feature(enable = "aes,sse2,sse4.1")]
+    fn decrypt(rk: &RoundKeys, block: __m128i) -> __m128i {
+        let mut s = _mm_xor_si128(block, rk[0]);
+        for k in &rk[1..NR] {
+            s = _mm_aesdec_si128(s, *k);
+        }
+        _mm_aesdeclast_si128(s, rk[NR])
+    }
+
+    #[target_feature(enable = "aes,sse2,sse4.1")]
+    pub(super) fn encrypt_block(enc_keys: &Schedule, block: &mut [u8; BLOCK]) {
+        store(block, encrypt(&round_keys(enc_keys), load(block)));
+    }
+
+    #[target_feature(enable = "aes,sse2,sse4.1")]
+    pub(super) fn decrypt_block(dec_keys: &Schedule, block: &mut [u8; BLOCK]) {
+        store(block, decrypt(&round_keys(dec_keys), load(block)));
+    }
+
+    #[target_feature(enable = "aes,sse2,sse4.1")]
+    pub(super) fn cbc_encrypt(enc_keys: &Schedule, iv: &[u8; BLOCK], blocks: &mut [[u8; BLOCK]]) {
+        let rk = round_keys(enc_keys);
+        let mut prev = load(iv);
+        for block in blocks {
+            prev = encrypt(&rk, _mm_xor_si128(load(block), prev));
+            store(block, prev);
+        }
+    }
+
+    /// Same walk as the table body of `cbc_decrypt_in_place`: last block
+    /// first, its padding checked before the first store. Returns the pad
+    /// length.
+    #[target_feature(enable = "aes,sse2,sse4.1")]
+    pub(super) fn cbc_decrypt(
+        dec_keys: &Schedule,
+        iv: &[u8; BLOCK],
+        blocks: &mut [[u8; BLOCK]],
+    ) -> Option<usize> {
+        let rk = round_keys(dec_keys);
+        let mut pad = None;
+        for i in (0..blocks.len()).rev() {
+            let prev = load(if i == 0 { iv } else { &blocks[i - 1] });
+            let plain = _mm_xor_si128(decrypt(&rk, load(&blocks[i])), prev);
+            if pad.is_none() {
+                let mut last = [0u8; BLOCK];
+                store(&mut last, plain);
+                pad = Some(pkcs7_pad_of(&last)?);
+            }
+            store(&mut blocks[i], plain);
+        }
+        pad
     }
 }
 
 /// Bytes of PKCS#7 padding a `len`-byte plaintext takes (1..=16).
 pub fn pkcs7_pad_len(len: usize) -> usize {
     BLOCK - len % BLOCK
+}
+
+/// The PKCS#7 pad length the last plaintext block declares, if its tail
+/// is a well-formed pad.
+fn pkcs7_pad_of(last: &[u8; BLOCK]) -> Option<usize> {
+    let pad = last[BLOCK - 1] as usize;
+    ((1..=BLOCK).contains(&pad) && last[BLOCK - pad..].iter().all(|&b| b == pad as u8))
+        .then_some(pad)
 }
 
 fn xor_block(dst: &mut [u8; BLOCK], src: &[u8; BLOCK]) {
@@ -244,10 +427,17 @@ fn xor_block(dst: &mut [u8; BLOCK], src: &[u8; BLOCK]) {
 pub fn cbc_encrypt_in_place(key: &Aes128, iv: &[u8; BLOCK], buf: &mut [u8]) {
     let (blocks, rest) = buf.as_chunks_mut::<BLOCK>();
     assert!(rest.is_empty(), "CBC buffer must hold whole blocks");
+    #[cfg(target_arch = "x86_64")]
+    if key.native {
+        // SAFETY: `native` is true only where `Aes128::new` saw
+        // `is_x86_feature_detected!` report aes, sse2 and sse4.1.
+        return unsafe { native::cbc_encrypt(&key.enc_keys, iv, blocks) };
+    }
+    let t = tables();
     let mut prev = *iv;
     for block in blocks {
         xor_block(block, &prev);
-        key.encrypt_block(block);
+        rounds::<1>(&t.te, &t.sbox, &key.enc_keys, block);
         prev = *block;
     }
 }
@@ -262,18 +452,23 @@ pub fn cbc_decrypt_in_place(key: &Aes128, iv: &[u8; BLOCK], buf: &mut [u8]) -> O
     if blocks.is_empty() || !rest.is_empty() {
         return None;
     }
+    #[cfg(target_arch = "x86_64")]
+    if key.native {
+        // SAFETY: `native` is true only where `Aes128::new` saw
+        // `is_x86_feature_detected!` report aes, sse2 and sse4.1.
+        let pad = unsafe { native::cbc_decrypt(&key.dec_keys, iv, blocks) }?;
+        return Some(buf.len() - pad);
+    }
+    let t = tables();
     let last = blocks.len() - 1;
     let mut pad = 0;
     for i in (0..=last).rev() {
         let prev = if i == 0 { *iv } else { blocks[i - 1] };
         let mut plain = blocks[i];
-        key.decrypt_block(&mut plain);
+        rounds::<3>(&t.td, &t.inv_sbox, &key.dec_keys, &mut plain);
         xor_block(&mut plain, &prev);
         if i == last {
-            pad = plain[BLOCK - 1] as usize;
-            if pad == 0 || pad > BLOCK || plain[BLOCK - pad..].iter().any(|&b| b != pad as u8) {
-                return None;
-            }
+            pad = pkcs7_pad_of(&plain)?;
         }
         blocks[i] = plain;
     }
@@ -381,20 +576,97 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Both bodies on x86 CPUs with the AES instructions (the native one
+    /// second), the table body alone elsewhere.
+    fn bodies(key: &[u8; 16]) -> Vec<Aes128> {
+        let (table, auto) = (Aes128::table_only(key), Aes128::new(key));
+        assert!(!table.is_native());
+        assert_eq!(auto.is_native(), native_detected());
+        let mut bodies = vec![table];
+        bodies.extend(auto.is_native().then_some(auto));
+        bodies
+    }
+
     proptest! {
-        /// The table-driven rounds equal the byte-wise textbook cipher (the
-        /// straight inverse cipher, not the equivalent one) on any input.
+        /// Table rounds and, where detected, the AES instructions equal the
+        /// byte-wise textbook cipher (the straight inverse cipher, not the
+        /// equivalent one) on any input.
         #[test]
         fn table_rounds_match_textbook(key in any::<[u8; 16]>(), block in any::<[u8; 16]>()) {
-            let aes = Aes128::new(&key);
-            let (mut fast, mut slow) = (block, block);
-            aes.encrypt_block(&mut fast);
-            textbook::encrypt_block(&aes, &mut slow);
-            prop_assert_eq!(fast, slow);
-            let (mut fast, mut slow) = (block, block);
-            aes.decrypt_block(&mut fast);
-            textbook::decrypt_block(&aes, &mut slow);
-            prop_assert_eq!(fast, slow);
+            let (mut enc, mut dec) = (block, block);
+            textbook::encrypt_block(&Aes128::table_only(&key), &mut enc);
+            textbook::decrypt_block(&Aes128::table_only(&key), &mut dec);
+            for aes in bodies(&key) {
+                let mut fast = block;
+                aes.encrypt_block(&mut fast);
+                prop_assert_eq!(fast, enc, "encrypt, native {}", aes.is_native());
+                let mut fast = block;
+                aes.decrypt_block(&mut fast);
+                prop_assert_eq!(fast, dec, "decrypt, native {}", aes.is_native());
+            }
+        }
+    }
+
+    /// Decrypt `buf` with both bodies: they must agree on the verdict and on
+    /// every byte left behind, and a refused buffer must be untouched.
+    fn decrypt_both(bodies: &[Aes128], iv: &[u8; 16], buf: &[u8]) -> Option<usize> {
+        let mut results = bodies.iter().map(|aes| {
+            let mut out = buf.to_vec();
+            (cbc_decrypt_in_place(aes, iv, &mut out), out)
+        });
+        let (verdict, left) = results.next().expect("the table body");
+        for other in results {
+            assert_eq!(other, (verdict, left.clone()), "len {}", buf.len());
+        }
+        assert!(verdict.is_some() || left == buf, "refused, yet written");
+        verdict
+    }
+
+    proptest! {
+        #![cases = 4]
+        /// CBC, table against native, at every buffer length an MTU frame
+        /// can reach and beyond: same ciphertext, same plaintext, and the
+        /// same refusal — `None`, buffer untouched — of a bad length, a bad
+        /// pad and a flipped ciphertext byte.
+        #[test]
+        fn cbc_native_matches_table_at_every_length(
+            key in any::<[u8; 16]>(),
+            iv in any::<[u8; 16]>(),
+            seed in any::<u64>(),
+        ) {
+            let bodies = bodies(&key);
+            let mut x = seed;
+            let data: Vec<u8> = (0..1600)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (x >> 56) as u8
+                })
+                .collect();
+            for len in 0..=1600 {
+                let plain = &data[..len];
+                let cipher = cbc_encrypt(&bodies[0], &iv, plain);
+                for aes in &bodies[1..] {
+                    prop_assert_eq!(&cbc_encrypt(aes, &iv, plain), &cipher, "len {}", len);
+                }
+                prop_assert_eq!(decrypt_both(&bodies, &iv, &cipher), Some(len));
+                // Raw bytes as ciphertext: not whole blocks, or whole blocks
+                // whose pad all but never checks out.
+                let raw = decrypt_both(&bodies, &iv, plain);
+                prop_assert!(raw.is_none() || len % BLOCK == 0 && len > 0, "len {}", len);
+                // The byte that CBC folds into the pad length (the IV's last,
+                // for a single block): always refused.
+                let (mut bad, mut bad_iv) = (cipher.clone(), iv);
+                match bad.len().checked_sub(BLOCK + 1) {
+                    Some(i) => bad[i] ^= 0x80,
+                    None => bad_iv[BLOCK - 1] ^= 0x80,
+                }
+                prop_assert_eq!(decrypt_both(&bodies, &bad_iv, &bad), None, "len {}", len);
+                // Any other byte garbles one block and flips a bit of the
+                // next; whatever the verdict, it is the same one.
+                let mut bad = cipher.clone();
+                bad[(seed as usize).wrapping_add(len) % cipher.len()] ^= 1 << (len % 8);
+                decrypt_both(&bodies, &iv, &bad);
+            }
         }
     }
 

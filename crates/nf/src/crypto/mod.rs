@@ -1,10 +1,11 @@
 //! From-scratch cryptographic primitives for the crypto NFs.
 //!
 //! Reproduction-quality implementations validated against FIPS-197 /
-//! SP 800-38A (AES-128, CBC) and RFC 8439 (ChaCha20) test vectors. AES is
-//! table-driven, with every table derived from the GF(2⁸) definition at
-//! first use rather than transcribed; one portable code path, no hardware
-//! AES. Not constant-time; not for real traffic.
+//! SP 800-38A (AES-128, CBC) and RFC 8439 (ChaCha20) test vectors. AES runs
+//! on the CPU's AES instructions where `aes.rs` detects them and is
+//! table-driven everywhere else, with every table derived from the GF(2⁸)
+//! definition at first use rather than transcribed. Not constant-time
+//! (the table body); not for real traffic.
 
 pub mod aes;
 pub mod chacha;

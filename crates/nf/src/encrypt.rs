@@ -48,12 +48,18 @@ impl Encrypt {
     }
 }
 
+/// Total over any string: a `key` that is not 32 bytes long gives the all-
+/// zero key, and a byte pair that is not two hex digits (two halves of
+/// multi-byte characters included) leaves its key byte zero.
 fn key_from_params(params: &NfParams) -> [u8; 16] {
-    let hex = params.str_or("key", "000102030405060708090a0b0c0d0e0f");
+    let hex = params
+        .str_or("key", "000102030405060708090a0b0c0d0e0f")
+        .as_bytes();
     let mut key = [0u8; 16];
     if hex.len() == 32 {
-        for (i, b) in key.iter_mut().enumerate() {
-            if let Ok(v) = u8::from_str_radix(&hex[2 * i..2 * i + 2], 16) {
+        for (b, pair) in key.iter_mut().zip(hex.chunks_exact(2)) {
+            let digits = std::str::from_utf8(pair).ok();
+            if let Some(v) = digits.and_then(|d| u8::from_str_radix(d, 16).ok()) {
                 *b = v;
             }
         }
@@ -248,6 +254,52 @@ mod tests {
         assert_eq!(dec.process(&ctx, &mut p), Verdict::Forward);
         assert_eq!(payload_of(&p), b"confidential payload bytes".to_vec());
         assert!(valid_at_all_layers(&p));
+    }
+
+    /// `key` is operator input: whatever string it holds, all three crypto
+    /// NFs build, on the key the 32-hex-digit rule gives — a pair that is
+    /// not two hex digits reads as zero, any other length as all zeros.
+    #[test]
+    fn any_key_string_builds_and_malformed_keys_fall_back() {
+        use crate::{build_nf, ParamValue};
+        let mut from_valid = [0u8; 16];
+        from_valid[0] = 0xfe;
+        from_valid[15] = 0x0f;
+        let mut from_partial = [0u8; 16];
+        from_partial[1] = 0xab;
+        let cases: [(String, [u8; 16]); 8] = [
+            ("fe00000000000000000000000000000f".into(), from_valid),
+            ("FE00000000000000000000000000000F".into(), from_valid),
+            // 32 bytes, every pair boundary inside a two-byte character.
+            (format!("a{}b", "é".repeat(15)), [0u8; 16]),
+            // 32 bytes, every pair one whole (non-hex) character.
+            ("é".repeat(16), [0u8; 16]),
+            (format!("zzab{}", "é".repeat(14)), from_partial),
+            ("0011".into(), [0u8; 16]),
+            ("00".repeat(17), [0u8; 16]),
+            (String::new(), [0u8; 16]),
+        ];
+        let ctx = NfCtx::default();
+        let plain = pkt(b"whatever the key string, the NF builds");
+        for (text, key) in cases {
+            let mut params = NfParams::new();
+            params.set("key", ParamValue::Str(text.clone()));
+            let mut enc = build_nf(NfKind::Encrypt, &params);
+            let mut dec = build_nf(NfKind::Decrypt, &params);
+            let mut fast = build_nf(NfKind::FastEncrypt, &params);
+
+            let (mut got, mut want) = (plain.clone(), plain.clone());
+            assert_eq!(enc.process(&ctx, &mut got), Verdict::Forward);
+            Encrypt::new(key).process(&ctx, &mut want);
+            assert_eq!(got.as_slice(), want.as_slice(), "Encrypt, key {text:?}");
+            assert_eq!(dec.process(&ctx, &mut want), Verdict::Forward);
+            assert_eq!(want.as_slice(), plain.as_slice(), "Decrypt, key {text:?}");
+
+            let (mut got, mut want) = (plain.clone(), plain.clone());
+            fast.process(&ctx, &mut got);
+            FastEncrypt::new(key).process(&ctx, &mut want);
+            assert_eq!(got.as_slice(), want.as_slice(), "FastEncrypt, key {text:?}");
+        }
     }
 
     #[test]

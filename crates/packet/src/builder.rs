@@ -19,7 +19,33 @@ pub fn udp_packet(
     dst_port: u16,
     payload: &[u8],
 ) -> PacketBuf {
-    let udp_len = udp::HEADER_LEN + payload.len();
+    udp_packet_with(
+        eth_src,
+        eth_dst,
+        ip_src,
+        ip_dst,
+        src_port,
+        dst_port,
+        payload.len(),
+        |buf| buf.copy_from_slice(payload),
+    )
+}
+
+/// [`udp_packet`] for a payload the caller generates: `fill` is handed the
+/// frame's `payload_len` payload bytes (zeroed) to write in place, before
+/// the checksums are taken — no payload buffer of the caller's to copy.
+#[allow(clippy::too_many_arguments)]
+pub fn udp_packet_with(
+    eth_src: ethernet::Address,
+    eth_dst: ethernet::Address,
+    ip_src: ipv4::Address,
+    ip_dst: ipv4::Address,
+    src_port: u16,
+    dst_port: u16,
+    payload_len: usize,
+    fill: impl FnOnce(&mut [u8]),
+) -> PacketBuf {
+    let udp_len = udp::HEADER_LEN + payload_len;
     let ip_len = ipv4::HEADER_LEN + udp_len;
     let total = ethernet::HEADER_LEN + ip_len;
     let mut buf = PacketBuf::zeroed(total);
@@ -42,7 +68,7 @@ pub fn udp_packet(
         u.set_src_port(src_port);
         u.set_dst_port(dst_port);
         u.set_length(udp_len as u16);
-        u.payload_mut().copy_from_slice(payload);
+        fill(u.payload_mut());
         u.fill_checksum(ip_src, ip_dst);
         ip.fill_checksum();
     }
