@@ -157,7 +157,7 @@ fn bench_engine_run(c: &mut Criterion) {
     group.throughput(Throughput::Elements(PACKETS as u64));
     group.bench_function("engine_run_set_a_64b_10k", |b| {
         b.iter_batched(
-            || Testbed::build_with_mode(&p, &e, lemur_dataplane::RuntimeMode::Fused).unwrap(),
+            || Testbed::build(&p, &e, lemur_metacompiler::compile_fused(&p, &e).unwrap()).unwrap(),
             |mut testbed| {
                 let report = testbed.run(&specs, config);
                 assert!(report.ledger.injected as f64 > PACKETS * 0.99);

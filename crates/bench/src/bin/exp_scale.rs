@@ -30,8 +30,8 @@ use lemur_bench::table::{cell, fnum, json_row, Table};
 use lemur_bench::{build_problem, write_json};
 use lemur_core::chains::CanonicalChain;
 use lemur_dataplane::{
-    validate_scenario, ChainLoad, Diurnal, FlowSizeDist, HybridConfig, HybridMode, RuntimeMode,
-    Scenario, ScenarioSpec, SimConfig, Surge, SurgeKind, Testbed, TrafficSpec, TrafficTolerance,
+    validate_scenario, ChainLoad, Diurnal, FlowSizeDist, HybridConfig, HybridMode, Scenario,
+    ScenarioSpec, SimConfig, Surge, SurgeKind, Testbed, TrafficSpec, TrafficTolerance,
 };
 use lemur_placer::corealloc::CoreStrategy;
 use lemur_placer::placement::{EvaluatedPlacement, PlacementProblem};
@@ -184,7 +184,8 @@ impl serde::Serialize for Artifact {
 }
 
 fn testbed(p: &PlacementProblem, e: &EvaluatedPlacement) -> Testbed {
-    Testbed::build_with_mode(p, e, RuntimeMode::Fused).expect("testbed build")
+    let deployment = lemur_metacompiler::compile_fused(p, e).expect("meta-compile");
+    Testbed::build(p, e, deployment).expect("testbed build")
 }
 
 fn run_cell(

@@ -7,9 +7,6 @@
 //!
 //! * [`machine`] — server hardware model: sockets, cores, NIC attachment,
 //!   clock rate, and the NUMA cross-socket penalty visible in Table 4.
-//! * [`subgroup`] — run-to-completion subgroups: consecutive server NFs
-//!   coalesced onto one core, processing a whole batch through every NF
-//!   before pulling the next (§3.2), with zero-copy packet hand-off.
 //! * [`demux`] — the shared `NSHdecap`/demultiplexer module that steers
 //!   packets to the right subgroup (by SPI/SI) and replica (by flow hash),
 //!   and the `NSHencap` mux at the tail (§A.1.2).
@@ -19,15 +16,18 @@
 //! * [`profiler`] — measures cycles/packet of the *real* Rust NFs in this
 //!   repository under the paper's two worst-case traffic patterns
 //!   (footnote 6), producing Table 4-shaped statistics.
+//!
+//! The run-to-completion subgroups themselves (§3.2) — consecutive server
+//! NFs of one chain coalesced onto one core — are the meta-compiler's
+//! `lemur_metacompiler::NfRuntime`, which these modules steer packets to
+//! and schedule.
 
 pub mod demux;
 pub mod machine;
 pub mod profiler;
 pub mod scheduler;
-pub mod subgroup;
 
 pub use demux::{Demux, DemuxKey};
 pub use machine::{CoreId, NicSpec, ServerSpec, SocketId};
 pub use profiler::{profile_nf, ProfileStats, TrafficPattern};
 pub use scheduler::{SchedulerTree, TaskId};
-pub use subgroup::{Subgroup, SubgroupOutput};

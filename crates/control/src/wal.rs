@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 
 use lemur_core::graph::NodeId;
 use lemur_dataplane::MigrationError;
-use lemur_nf::snapshot::{Decoder, Encoder, SnapshotError, StateDigest};
+use lemur_nf::snapshot::{Decoder, Encoder, Fnv128, SnapshotError};
 use lemur_nf::NfKind;
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -162,7 +162,7 @@ impl WalRecord {
         let mut out = Vec::with_capacity(4 + payload.len() + RECORD_DIGEST_BYTES);
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&payload);
-        let mut digest = StateDigest::new();
+        let mut digest = Fnv128::new();
         digest.bytes(&payload);
         out.extend_from_slice(&digest.finish().to_le_bytes());
         out
@@ -617,7 +617,7 @@ impl DecisionLog {
             let payload = &rest[4..4 + len];
             let mut stored = [0u8; RECORD_DIGEST_BYTES];
             stored.copy_from_slice(&rest[4 + len..frame]);
-            let mut digest = StateDigest::new();
+            let mut digest = Fnv128::new();
             digest.bytes(payload);
             if digest.finish() != u128::from_le_bytes(stored) {
                 break;

@@ -16,7 +16,6 @@ use lemur_core::Slo;
 use lemur_ebpf::{Vm, XdpVerdict};
 use lemur_metacompiler::bessgen::ServerPipeline;
 use lemur_metacompiler::Deployment;
-pub use lemur_metacompiler::RuntimeMode;
 use lemur_nf::{AggregateObservables, AggregateUpdate, NfCtx, NfKind};
 use lemur_p4sim::{PisaModel, Switch};
 use lemur_packet::PacketBuf;
@@ -42,8 +41,9 @@ pub enum BuildError {
     UnsupportedTor(String),
     /// The generated P4 program failed to compile/load on the switch.
     SwitchLoad(String),
-    /// Meta-compilation failed inside [`Testbed::build_with_mode`].
-    Compile(String),
+    /// The deployment names a server or SmartNIC the problem's topology
+    /// does not have.
+    Mismatch(String),
 }
 
 impl std::fmt::Display for BuildError {
@@ -51,7 +51,7 @@ impl std::fmt::Display for BuildError {
         match self {
             BuildError::UnsupportedTor(msg) => write!(f, "unsupported ToR: {msg}"),
             BuildError::SwitchLoad(msg) => write!(f, "switch load: {msg}"),
-            BuildError::Compile(msg) => write!(f, "meta-compile: {msg}"),
+            BuildError::Mismatch(msg) => write!(f, "deployment mismatch: {msg}"),
         }
     }
 }
@@ -644,7 +644,7 @@ pub struct Testbed {
 impl Testbed {
     /// Build from a placement and its deployment. The deployment's P4
     /// program is compiled and loaded; BESS pipelines and NIC programs are
-    /// taken as-is.
+    /// taken as-is, and must name servers and SmartNICs of `problem`.
     pub fn build(
         problem: &PlacementProblem,
         placement: &EvaluatedPlacement,
@@ -670,27 +670,6 @@ impl Testbed {
             nf_index: parts.nf_index,
             tor_nat: parts.tor_nat,
         })
-    }
-
-    /// Build from a placement, compiling the deployment internally with an
-    /// explicit server runtime mode: `RuntimeMode::Reference` keeps the
-    /// per-NF trait-object path (the reference semantics), while
-    /// `RuntimeMode::Fused` compiles each server subgroup into a fused
-    /// batch-sweep segment. Both modes are bit-identical in observable
-    /// behaviour (enforced by `tests/fused_equivalence.rs`); fused trades
-    /// vtable dispatch and repeated header parses for a static-dispatch
-    /// sweep.
-    pub fn build_with_mode(
-        problem: &PlacementProblem,
-        placement: &EvaluatedPlacement,
-        mode: RuntimeMode,
-    ) -> Result<Testbed, BuildError> {
-        let deployment = match mode {
-            RuntimeMode::Reference => lemur_metacompiler::compile(problem, placement),
-            RuntimeMode::Fused => lemur_metacompiler::compile_fused(problem, placement),
-        }
-        .map_err(|e| BuildError::Compile(e.to_string()))?;
-        Testbed::build(problem, placement, deployment)
     }
 
     /// `(fused replicas, total replicas)` across all servers — lets tests
@@ -1700,7 +1679,11 @@ fn build_parts(
     let mut servers: Vec<Option<ServerSim>> = (0..n_servers).map(|_| None).collect();
     for pipe in deployment.bess {
         let s = pipe.server;
-        let spec = problem.topology.servers[s].clone();
+        let Some(spec) = problem.topology.servers.get(s).cloned() else {
+            return Err(BuildError::Mismatch(format!(
+                "pipeline for server {s}, topology has {n_servers}"
+            )));
+        };
         let nic_socket = spec
             .nics
             .first()
@@ -1718,11 +1701,15 @@ fn build_parts(
             spec,
         });
     }
-    let mut nics: Vec<Option<NicSim>> = (0..problem.topology.smartnics.len())
-        .map(|_| None)
-        .collect();
+    let n_nics = problem.topology.smartnics.len();
+    let mut nics: Vec<Option<NicSim>> = (0..n_nics).map(|_| None).collect();
     for np in deployment.ebpf {
-        let spec = &problem.topology.smartnics[np.nic];
+        let Some(spec) = problem.topology.smartnics.get(np.nic) else {
+            return Err(BuildError::Mismatch(format!(
+                "program for SmartNIC {}, topology has {n_nics}",
+                np.nic
+            )));
+        };
         nics[np.nic] = Some(NicSim {
             program: np.program,
             proc: Station::default(),
@@ -2452,6 +2439,33 @@ mod tests {
         let chains: Vec<CanonicalChain> =
             which.iter().map(|&w| CanonicalChain::ALL[w - 1]).collect();
         setup(&chains, delta).0
+    }
+
+    /// A deployment that names a server or SmartNIC the problem lacks is
+    /// a caller error `Testbed::build` reports, not an index panic.
+    #[test]
+    fn build_rejects_stray_server_and_nic_indices() {
+        use lemur_placer::profiles::Platform;
+        let (p, e, _) = setup(&[CanonicalChain::Chain3], 0.5);
+        let mut dep = lemur_metacompiler::compile(&p, &e).unwrap();
+        dep.bess[0].server = 7;
+        let err = Testbed::build(&p, &e, dep).err();
+        assert!(matches!(err, Some(BuildError::Mismatch(_))), "{err:?}");
+
+        // Chain 5 with its ChaCha offloaded to the one SmartNIC.
+        let mut p = problem(&[5], 0.5);
+        p.topology = Topology::with_smartnic();
+        let mut a = lemur_placer::baselines::hw_preferred_assignment(&p);
+        for (id, n) in p.chains[0].graph.nodes() {
+            if n.kind == NfKind::FastEncrypt {
+                a[0].insert(id, Platform::SmartNic(0));
+            }
+        }
+        let e = p.evaluate(&a, CoreStrategy::WaterFill).unwrap();
+        let mut dep = lemur_metacompiler::compile(&p, &e).unwrap();
+        dep.ebpf[0].nic = 3;
+        let err = Testbed::build(&p, &e, dep).err();
+        assert!(matches!(err, Some(BuildError::Mismatch(_))), "{err:?}");
     }
 
     /// The dense server tables answer exactly as the `ServerPipeline`

@@ -29,8 +29,8 @@ pub mod traffic;
 pub mod validate;
 
 pub use engine::{
-    BuildError, ControlAction, ControlHook, HybridConfig, HybridMode, NoopHook, RuntimeMode,
-    ScenarioError, SimConfig, StagedConfig, Testbed,
+    BuildError, ControlAction, ControlHook, HybridConfig, HybridMode, NoopHook, ScenarioError,
+    SimConfig, StagedConfig, Testbed,
 };
 pub use faults::{
     ChannelFault, ChannelFaultKind, FaultEvent, FaultKind, FaultPlan, FaultPlanError,

@@ -1,19 +1,18 @@
-//! Differential test: the fused batch dataplane must be *observationally
-//! identical* to the per-NF trait-object reference runtime.
+//! Differential test: the fused NF storage must be *observationally
+//! identical* to the per-NF trait-object reference storage.
 //!
 //! Two axes of comparison:
 //!
-//! 1. **Whole-testbed**: build the same placement twice — once with
-//!    [`RuntimeMode::Reference`], once with [`RuntimeMode::Fused`] — drive
+//! 1. **Whole-testbed**: build the same placement twice — once from
+//!    [`compile`], once from [`compile_fused`] — drive
 //!    identical seeded traffic, and `assert_eq!` the *entire* [`SimReport`]
 //!    (delivered bytes, drop reasons, conservation ledger, latency
 //!    timelines, SLO violations). Any divergence in a verdict, a rewritten
 //!    byte, or a drop reason shows up as a report mismatch.
 //! 2. **Segment-level adversarial**: feed hand-built hostile frames
-//!    (truncated, garbage, VLAN-tagged, non-IPv4, empty) through a
-//!    reference [`Subgroup`] and a [`FusedSegment`] built from the same
-//!    chain spec, and compare outputs, gates, counters, and per-NF state
-//!    fingerprints after every batch.
+//!    (truncated, garbage, VLAN-tagged, non-IPv4, empty) through a boxed
+//!    and a fused [`NfRuntime`] built from the same chain spec, and
+//!    compare gates, bytes, and per-NF state fingerprints.
 //!
 //! The placer's LP fan-outs honour `LEMUR_WORKERS`; the worker-count axis
 //! is exercised with explicit [`Workers`] handles (1, 2, 8) rather than by
@@ -21,15 +20,13 @@
 //! harness while proving the same property: the fused/reference
 //! equivalence is independent of how the placement was computed.
 
-use lemur_bess::subgroup::Subgroup;
 use lemur_core::chains::{canonical_chain, CanonicalChain};
 use lemur_core::graph::ChainSpec;
 use lemur_core::Slo;
-use lemur_dataplane::{RuntimeMode, SimConfig, SimReport, Testbed, TrafficSpec};
-use lemur_metacompiler::FusedSegment;
+use lemur_dataplane::{SimConfig, SimReport, Testbed, TrafficSpec};
+use lemur_metacompiler::{compile, compile_fused, NfRuntime};
 use lemur_nf::fused::FusedNf;
 use lemur_nf::{build_nf, NfCtx, NfKind, NfParams};
-use lemur_packet::batch::Batch;
 use lemur_packet::builder::udp_packet;
 use lemur_packet::{ethernet, ipv4, PacketBuf};
 use lemur_placer::corealloc::CoreStrategy;
@@ -91,15 +88,15 @@ fn quick() -> SimConfig {
     }
 }
 
-/// Build the same placement under both runtime modes, run identical
+/// Build the same placement over both NF storages, run identical
 /// traffic, and return both reports plus the fused testbed's census.
 fn run_both(
     p: &PlacementProblem,
     e: &EvaluatedPlacement,
     specs: &[TrafficSpec],
 ) -> (SimReport, SimReport, (usize, usize)) {
-    let mut reference = Testbed::build_with_mode(p, e, RuntimeMode::Reference).unwrap();
-    let mut fused = Testbed::build_with_mode(p, e, RuntimeMode::Fused).unwrap();
+    let mut reference = Testbed::build(p, e, compile(p, e).unwrap()).unwrap();
+    let mut fused = Testbed::build(p, e, compile_fused(p, e).unwrap()).unwrap();
     assert_eq!(
         reference.runtime_census().0,
         0,
@@ -285,9 +282,9 @@ fn mixed_stream(n: usize, seed: u16) -> Vec<PacketBuf> {
         .collect()
 }
 
-fn both_runtimes(specs: &[(NfKind, NfParams)]) -> (Subgroup, FusedSegment) {
-    let boxed = Subgroup::new("ref", specs.iter().map(|(k, p)| build_nf(*k, p)).collect());
-    let fused = FusedSegment::new(
+fn both_runtimes(specs: &[(NfKind, NfParams)]) -> (NfRuntime, NfRuntime) {
+    let boxed = NfRuntime::boxed("ref", specs.iter().map(|(k, p)| build_nf(*k, p)).collect());
+    let fused = NfRuntime::fused(
         "fused",
         specs.iter().map(|(k, p)| FusedNf::build(*k, p)).collect(),
     );
@@ -316,47 +313,6 @@ fn coverage_chains() -> Vec<Vec<(NfKind, NfParams)>> {
         ],
         vec![(NfKind::FastEncrypt, p()), (NfKind::Monitor, p())],
     ]
-}
-
-#[test]
-fn adversarial_batches_match_reference_at_every_batch_size() {
-    for (ci, specs) in coverage_chains().into_iter().enumerate() {
-        for batch_size in [1usize, 8, 32, 64] {
-            let (mut sg, mut fs) = both_runtimes(&specs);
-            let mut now_ns = 10_000u64;
-            for round in 0..4u16 {
-                let stream = mixed_stream(batch_size, round.wrapping_mul(31) + ci as u16);
-                let ctx = NfCtx { now_ns };
-                let mut batch_a = Batch::new();
-                let mut batch_b = Batch::new();
-                for pkt in &stream {
-                    batch_a.push(pkt.clone());
-                    batch_b.push(pkt.clone());
-                }
-                let ref_out = sg.process_batch(&ctx, batch_a);
-                let fused_out = fs.process_batch(&ctx, batch_b);
-                assert_eq!(
-                    ref_out.dropped, fused_out.dropped,
-                    "chain {ci} batch={batch_size} round={round}: drop count diverged"
-                );
-                // Survivor bytes AND exit gates, in order.
-                assert_eq!(
-                    ref_out.packets, fused_out.packets,
-                    "chain {ci} batch={batch_size} round={round}: packets diverged"
-                );
-                assert_eq!(sg.packets_in(), fs.packets_in());
-                assert_eq!(sg.packets_dropped(), fs.packets_dropped());
-                for idx in 0..specs.len() {
-                    assert_eq!(
-                        sg.nf_state_fingerprint(idx),
-                        fs.nf_state_fingerprint(idx),
-                        "chain {ci} batch={batch_size} round={round}: NF {idx} state diverged"
-                    );
-                }
-                now_ns += 1_000_000;
-            }
-        }
-    }
 }
 
 #[test]

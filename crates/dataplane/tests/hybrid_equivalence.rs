@@ -24,9 +24,10 @@ use lemur_core::chains::{canonical_chain, CanonicalChain};
 use lemur_core::graph::ChainSpec;
 use lemur_core::Slo;
 use lemur_dataplane::{
-    ChainLoad, FlowSizeDist, HybridConfig, HybridMode, RuntimeMode, Scenario, ScenarioSpec,
-    SimConfig, SimReport, Surge, SurgeKind, Testbed, TrafficSpec,
+    ChainLoad, FlowSizeDist, HybridConfig, HybridMode, Scenario, ScenarioSpec, SimConfig,
+    SimReport, Surge, SurgeKind, Testbed, TrafficSpec,
 };
+use lemur_metacompiler::compile_fused;
 use lemur_nf::NfKind;
 use lemur_placer::corealloc::CoreStrategy;
 use lemur_placer::placement::{EvaluatedPlacement, PlacementProblem};
@@ -119,7 +120,7 @@ fn run_mode(
     scenario: &Scenario,
     mode: &HybridMode,
 ) -> (SimReport, NodeObservables) {
-    let mut tb = Testbed::build_with_mode(p, e, RuntimeMode::Fused).unwrap();
+    let mut tb = Testbed::build(p, e, compile_fused(p, e).unwrap()).unwrap();
     let slos = vec![None; specs.len()];
     let report = tb
         .run_scenario_supervised(
@@ -288,7 +289,7 @@ fn invalid_capacity_is_a_typed_error() {
     let (p, e, specs) = setup(&[CanonicalChain::Chain1]);
     let scenario = small_scenario(1, 5, 10, 16).materialize();
     for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-        let mut tb = Testbed::build_with_mode(&p, &e, RuntimeMode::Fused).unwrap();
+        let mut tb = Testbed::build(&p, &e, compile_fused(&p, &e).unwrap()).unwrap();
         let err = tb
             .run_scenario(
                 &scenario,

@@ -5,7 +5,7 @@
 //!
 //! * the demux configuration: `(SPI, SI) → (subgroup, replica by flow
 //!   hash)` entries for the shared `NSHdecap` module;
-//! * runnable [`lemur_bess::Subgroup`] instances, one per replica;
+//! * runnable [`NfRuntime`] instances, one per replica;
 //! * the mux rule: each departure re-encapsulates with `(SPI', SI−1)`,
 //!   where `SPI'` applies the branch rewrite if the subgroup's tail was a
 //!   branch `Match` (gate → SPI from the routing plan);
@@ -13,11 +13,10 @@
 //!   enforcement);
 //! * a textual BESS script for the LoC accounting.
 
-use crate::fuse::{FusedSegment, NfRuntime, RuntimeMode};
+use crate::fuse::NfRuntime;
 use crate::routing::{Location, RoutingPlan};
 use lemur_bess::demux::{Demux, DemuxKey};
 use lemur_bess::scheduler::{SchedulerTree, TaskId};
-use lemur_bess::subgroup::Subgroup;
 use lemur_core::graph::NodeId;
 use lemur_nf::build_nf;
 use lemur_nf::fused::FusedNf;
@@ -62,24 +61,14 @@ pub struct ServerPipeline {
     pub script: String,
 }
 
-/// Generate pipelines for every server with placed work, using the
-/// reference per-NF runtime.
+/// Generate pipelines for every server with placed work. `fused` picks
+/// the storage every [`NfRuntime`] is built with (see [`crate::fuse`]);
+/// nothing else in a pipeline depends on it.
 pub fn generate(
     problem: &PlacementProblem,
     placement: &EvaluatedPlacement,
     routing: &RoutingPlan,
-) -> Vec<ServerPipeline> {
-    generate_with_mode(problem, placement, routing, RuntimeMode::Reference)
-}
-
-/// Generate pipelines with an explicit runtime mode: `Reference` emits
-/// per-NF `Subgroup` runtimes, `Fused` compiles each subgroup into a
-/// [`FusedSegment`] sweep (see [`crate::fuse`]).
-pub fn generate_with_mode(
-    problem: &PlacementProblem,
-    placement: &EvaluatedPlacement,
-    routing: &RoutingPlan,
-    mode: RuntimeMode,
+    fused: bool,
 ) -> Vec<ServerPipeline> {
     let mut pipelines = Vec::new();
     for server in 0..problem.topology.servers.len() {
@@ -133,30 +122,17 @@ pub fn generate_with_mode(
                 continue;
             };
             // Each replica gets a fresh-state runtime built from the same
-            // node specs (equivalent to building a prototype and calling
-            // `clone_fresh`, for either runtime mode).
+            // node specs.
             let name = format!("c{}_sg_{}", sg.chain, chain.graph.node(head).name);
-            let make_runtime = || match mode {
-                RuntimeMode::Reference => NfRuntime::Boxed(Subgroup::new(
-                    &name,
-                    sg.nodes
-                        .iter()
-                        .map(|id| {
-                            let n = chain.graph.node(*id);
-                            build_nf(n.kind, &n.params)
-                        })
-                        .collect(),
-                )),
-                RuntimeMode::Fused => NfRuntime::Fused(FusedSegment::new(
-                    &name,
-                    sg.nodes
-                        .iter()
-                        .map(|id| {
-                            let n = chain.graph.node(*id);
-                            FusedNf::build(n.kind, &n.params)
-                        })
-                        .collect(),
-                )),
+            let specs = || sg.nodes.iter().map(|id| chain.graph.node(*id));
+            let make_runtime = || {
+                if fused {
+                    let nfs = specs().map(|n| FusedNf::build(n.kind, &n.params));
+                    NfRuntime::fused(&name, nfs.collect())
+                } else {
+                    let nfs = specs().map(|n| build_nf(n.kind, &n.params));
+                    NfRuntime::boxed(&name, nfs.collect())
+                }
             };
             for r in 0..sg.cores {
                 let core = 1 + (next_core % worker_cores.max(1));
@@ -272,7 +248,7 @@ mod tests {
     fn chain3_pipeline_structure() {
         let (p, e) = setup(CanonicalChain::Chain3, 0.5);
         let routing = crate::routing::plan(&p, &e.assignment);
-        let pipes = generate(&p, &e, &routing);
+        let pipes = generate(&p, &e, &routing, false);
         assert_eq!(pipes.len(), 1);
         let pipe = &pipes[0];
         // HW-preferred chain 3 leaves Dedup and Limiter on the server →
@@ -291,7 +267,7 @@ mod tests {
     fn replicated_subgroup_gets_instances() {
         let (p, e) = setup(CanonicalChain::Chain3, 2.0);
         let routing = crate::routing::plan(&p, &e.assignment);
-        let pipes = generate(&p, &e, &routing);
+        let pipes = generate(&p, &e, &routing, false);
         let pipe = &pipes[0];
         let dedup_sg = e
             .subgroups
@@ -331,7 +307,7 @@ mod tests {
         let a = lemur_placer::baselines::sw_preferred_assignment(&p);
         let e = p.evaluate(&a, CoreStrategy::WaterFill).unwrap();
         let routing = crate::routing::plan(&p, &e.assignment);
-        let pipes = generate(&p, &e, &routing);
+        let pipes = generate(&p, &e, &routing, false);
         let has_gate_rules = pipes[0].mux_rules.values().any(|r| !r.gate_spi.is_empty());
         assert!(
             has_gate_rules,
@@ -343,7 +319,7 @@ mod tests {
     fn schedulers_cover_all_instances() {
         let (p, e) = setup(CanonicalChain::Chain3, 1.5);
         let routing = crate::routing::plan(&p, &e.assignment);
-        let pipes = generate(&p, &e, &routing);
+        let pipes = generate(&p, &e, &routing, false);
         let pipe = &pipes[0];
         let scheduled: usize = pipe.schedulers.values().map(|s| s.num_tasks()).sum();
         assert_eq!(scheduled, pipe.instances.len());

@@ -1,57 +1,47 @@
-//! Chain fusion: compile a placed server-side segment into one sweep.
+//! The server-segment runtime: one type, a packet at a time.
 //!
-//! The reference runtime ([`lemur_bess::subgroup::Subgroup`]) walks each
-//! packet through `Box<dyn NetworkFunction>` hops — an indirect call per
-//! NF per packet, a fresh header parse inside every classifying NF, and
-//! per-packet counter updates. [`FusedSegment`] is what the meta-compiler
-//! emits instead when fusion is enabled: the same NF list enumerated into
-//! the static-dispatch [`FusedNf`] enum, processed NF-major over a whole
-//! [`Batch`] with scratch-backed state (per-slot [`FlowCache`], gate/drop
-//! marks) that is reused across batches, so the steady state performs no
-//! allocation, no vtable dispatch, at most one header parse per packet,
-//! and two counter updates per *batch* rather than two per packet.
+//! A placed server subgroup is a maximal run of consecutive server NFs of
+//! one chain, executed to completion on one core (§3.2): a packet passes
+//! through every NF by reference — no copies, no queues, no cross-core
+//! traffic — before the core takes the next one. [`NfRuntime`] is one
+//! replica of such a run. It owns the name, the two packet counters and
+//! the NFs, stored one of two ways:
 //!
-//! ## Semantic equivalence with the reference path
+//! * **boxed** — `Box<dyn NetworkFunction>` per NF, the reference
+//!   semantics: an indirect call per NF and a fresh header parse inside
+//!   every classifying NF;
+//! * **fused** — the same NF list enumerated into the static-dispatch
+//!   [`FusedNf`] enum, with one [`FlowCache`] carried from NF to NF (at
+//!   most one header parse per packet) and a per-flow memo over the
+//!   longest run of tuple-pure classifiers.
 //!
-//! The NF-major sweep is observationally identical to the packet-major
-//! reference loop: every NF sees exactly the packets that survived the
-//! NFs before it, in the same relative order, under the same `NfCtx`, so
-//! each NF's state trajectory and every per-packet verdict match
-//! bit-for-bit. (Packets in one batch share a context; the engine's
-//! per-packet timing path uses [`FusedSegment::process_packet`], which is
-//! the same code at batch size 1.) Mid-segment `Gate(g != 0)` verdicts
-//! drop the packet exactly as the reference runtime does; a terminal
-//! `Gate` selects the exit gate. `crates/dataplane/tests/fused_equivalence.rs`
-//! enforces all of this differentially.
+//! The bookkeeping (kinds, statefulness, snapshot and restore, state
+//! fingerprints, aggregate updates, observables) is written once over the
+//! `&dyn NetworkFunction` view either storage hands out. Only
+//! [`NfRuntime::process_packet`] treats the storages differently, and
+//! both of its arms fold verdicts through the same `fold`: `Forward`
+//! continues, `Drop` drops, a terminal `Gate(g)` selects the exit gate, a
+//! mid-run `Gate(g != 0)` drops. `crates/dataplane/tests/fused_equivalence.rs`
+//! holds the two storages to identical reports, bytes and NF state.
 //!
-//! Fusion boundaries fall exactly where subgroup boundaries fall: at
+//! There is no batch entry point because no run can feed one: the engine
+//! schedules every server arrival at a link station's completion time,
+//! which is strictly increasing, so two packets never reach one server in
+//! the same nanosecond (DESIGN.md "Server-segment runtime").
+//!
+//! Segment boundaries fall exactly where subgroup boundaries fall: at
 //! platform crossings (ToR P4, SmartNIC eBPF, OpenFlow) and at branch
-//! points, both of which bounce through NSH re-encapsulation. A fused
-//! segment therefore never spans a platform crossing — it *is* the
-//! maximal server-side run between crossings, which is also why the
-//! engine can swap either runtime per subgroup without touching routing.
+//! points, both of which bounce through NSH re-encapsulation. A segment
+//! therefore never spans a platform crossing, which is also why the engine
+//! can run either storage per subgroup without touching routing.
 
-use lemur_bess::subgroup::{Subgroup, SubgroupOutput};
 use lemur_nf::flowmap::FlowMap;
 use lemur_nf::fused::{FlowCache, FusedNf};
 use lemur_nf::{
-    AggregateObservables, AggregateOutcome, AggregateUpdate, NfCtx, NfKind, NfSnapshot,
-    SnapshotError, Verdict,
+    AggregateObservables, AggregateOutcome, AggregateUpdate, NetworkFunction, NfCtx, NfKind,
+    NfSnapshot, SnapshotError, Verdict,
 };
-use lemur_packet::Batch;
-
-/// Which runtime the meta-compiler emits for server subgroups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RuntimeMode {
-    /// Per-NF trait objects (`Subgroup`) — the reference semantics.
-    #[default]
-    Reference,
-    /// Fused static-dispatch segments (`FusedSegment`).
-    Fused,
-}
-
-/// Sentinel gate meaning "dropped" during a sweep.
-const DROPPED: usize = usize::MAX;
+use lemur_packet::PacketBuf;
 
 /// Classifier-memo capacity bound: when the per-flow table reaches this
 /// many entries it is cleared wholesale (the next packets repopulate it).
@@ -59,13 +49,13 @@ const DROPPED: usize = usize::MAX;
 /// classifiers reproduces the evicted outcomes exactly.
 const MEMO_CAP: usize = 65_536;
 
-/// The folded verdict of a run of tuple-pure classifiers for one flow —
-/// the fused dataplane's megaflow-style cache line. Because every NF in
-/// the memoized run is a pure function of the 5-tuple (stateless, never
-/// writes the frame), replaying the outcome for later packets of the same
-/// flow is observationally identical to re-running the NFs.
+/// What a run of NFs decided for one packet. Also the classifier memo's
+/// cache line: every NF in the memoized run is a pure function of the
+/// 5-tuple (stateless, never writes the frame), so replaying the outcome
+/// for later packets of the same flow is observationally identical to
+/// re-running the NFs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MemoOutcome {
+enum Outcome {
     /// Every NF forwarded (mid-run `Gate(0)` counts as forward).
     Proceed,
     /// Some NF dropped, or gated mid-run onto a non-zero gate.
@@ -74,109 +64,142 @@ enum MemoOutcome {
     Exit(usize),
 }
 
-/// The longest contiguous run of tuple-pure NFs, as `(start, end)`.
-/// Runs shorter than 2 are not worth the memo probe.
-fn longest_pure_run(nfs: &[FusedNf]) -> Option<(usize, usize)> {
-    let (mut best_s, mut best_e) = (0usize, 0usize);
-    let mut run_start = None;
-    for i in 0..=nfs.len() {
-        let pure = i < nfs.len() && nfs[i].tuple_pure();
-        match (pure, run_start) {
-            (true, None) => run_start = Some(i),
-            (false, Some(s)) => {
-                if i - s > best_e - best_s {
-                    best_s = s;
-                    best_e = i;
-                }
-                run_start = None;
+/// One NF's verdict as the segment sees it. A branching verdict mid-run
+/// means the meta-compiler put a `Match` in a non-terminal slot: gate 0
+/// continues the run (all other traffic was already split upstream).
+#[inline]
+fn fold(verdict: Verdict, terminal: bool) -> Outcome {
+    match verdict {
+        Verdict::Forward => Outcome::Proceed,
+        Verdict::Drop => Outcome::Drop,
+        Verdict::Gate(g) if terminal => Outcome::Exit(g),
+        Verdict::Gate(0) => Outcome::Proceed,
+        Verdict::Gate(_) => Outcome::Drop,
+    }
+}
+
+/// Run `nfs` — the NFs from index `first` of a segment whose final index is
+/// `last` — until one of them settles the packet.
+#[inline]
+fn run<N>(
+    nfs: &mut [N],
+    first: usize,
+    last: usize,
+    mut process: impl FnMut(&mut N) -> Verdict,
+) -> Outcome {
+    for (off, nf) in nfs.iter_mut().enumerate() {
+        match fold(process(nf), first + off == last) {
+            Outcome::Proceed => {}
+            settled => return settled,
+        }
+    }
+    Outcome::Proceed
+}
+
+/// The per-flow folded outcome of a fused segment's longest contiguous run
+/// of tuple-pure classifiers (a megaflow-style cache).
+struct ClassifierMemo {
+    /// The memoized NFs, `start..end`; at least two.
+    span: std::ops::Range<usize>,
+    outcomes: FlowMap<Outcome>,
+}
+
+impl ClassifierMemo {
+    /// Memoize the longest contiguous run of tuple-pure NFs. Runs shorter
+    /// than 2 are not worth the memo probe.
+    fn over(nfs: &[FusedNf]) -> Option<ClassifierMemo> {
+        let mut best = 0..0;
+        let mut start = 0;
+        for i in 0..=nfs.len() {
+            if i < nfs.len() && nfs[i].tuple_pure() {
+                continue;
             }
-            _ => {}
+            if i - start > best.len() {
+                best = start..i;
+            }
+            start = i + 1;
         }
-    }
-    (best_e - best_s >= 2).then_some((best_s, best_e))
-}
-
-/// A contiguous server-side chain segment compiled into a single
-/// batch-sweep unit. See the module docs.
-pub struct FusedSegment {
-    name: String,
-    nfs: Vec<FusedNf>,
-    packets_in: u64,
-    packets_dropped: u64,
-    /// Per-slot parse caches, reused across batches (allocation-free
-    /// steady state).
-    caches: Vec<FlowCache>,
-    /// `(start, end)` of the longest contiguous run of tuple-pure
-    /// classifiers, when ≥ 2 NFs long — the memoized span.
-    memo_run: Option<(usize, usize)>,
-    /// Per-flow folded outcome of the memoized span (megaflow cache).
-    memo: FlowMap<MemoOutcome>,
-}
-
-impl FusedSegment {
-    /// Build from fused NF instances (must be non-empty).
-    pub fn new(name: &str, nfs: Vec<FusedNf>) -> FusedSegment {
-        assert!(!nfs.is_empty(), "fused segment needs at least one NF");
-        let memo_run = longest_pure_run(&nfs);
-        FusedSegment {
-            name: name.to_string(),
-            nfs,
-            packets_in: 0,
-            packets_dropped: 0,
-            caches: Vec::with_capacity(lemur_packet::batch::BATCH_SIZE),
-            memo_run,
-            memo: FlowMap::new(),
-        }
+        (best.len() >= 2).then(|| ClassifierMemo {
+            span: best,
+            outcomes: FlowMap::new(),
+        })
     }
 
-    /// Run the memoized classifier span for one packet: probe the per-flow
-    /// memo, on miss execute the span's NFs and memoize the folded
-    /// outcome. Unparseable frames bypass the memo entirely (their
-    /// verdicts may depend on bytes the tuple key cannot represent).
-    ///
-    /// An associated function over disjoint fields so the batch sweep can
-    /// hold `caches[slot]` mutably at the same time.
+    /// Settle one packet over the span: probe the memo, on a miss run the
+    /// span's NFs and memoize the folded outcome. Unparseable frames bypass
+    /// the memo entirely (their verdicts may depend on bytes the tuple key
+    /// cannot represent).
     #[inline]
-    fn memo_span(
+    fn process(
+        &mut self,
         nfs: &mut [FusedNf],
-        memo: &mut FlowMap<MemoOutcome>,
-        (start, end): (usize, usize),
-        last: usize,
         ctx: &NfCtx,
-        pkt: &mut lemur_packet::PacketBuf,
+        pkt: &mut PacketBuf,
         cache: &mut FlowCache,
-    ) -> MemoOutcome {
+    ) -> Outcome {
         let key = cache.tuple_hashed(pkt);
         if let Some((t, h)) = key {
-            if let Some(o) = memo.get_hashed(h, &t) {
+            if let Some(o) = self.outcomes.get_hashed(h, &t) {
                 return *o;
             }
         }
-        let mut outcome = MemoOutcome::Proceed;
-        for (off, nf) in nfs[start..end].iter_mut().enumerate() {
-            match nf.process_cached(ctx, pkt, cache) {
-                Verdict::Forward => {}
-                Verdict::Drop => {
-                    outcome = MemoOutcome::Drop;
-                    break;
-                }
-                Verdict::Gate(g) => {
-                    if start + off == last {
-                        outcome = MemoOutcome::Exit(g);
-                    } else if g != 0 {
-                        outcome = MemoOutcome::Drop;
-                        break;
-                    }
-                }
-            }
-        }
+        let last = nfs.len() - 1;
+        let outcome = run(&mut nfs[self.span.clone()], self.span.start, last, |nf| {
+            nf.process_cached(ctx, pkt, cache)
+        });
         if let Some((t, h)) = key {
-            if memo.len() >= MEMO_CAP {
-                memo.clear();
+            if self.outcomes.len() >= MEMO_CAP {
+                self.outcomes.clear();
             }
-            *memo.get_mut_or_insert_with_hashed(h, &t, || outcome) = outcome;
+            *self
+                .outcomes
+                .get_mut_or_insert_with_hashed(h, &t, || outcome) = outcome;
         }
         outcome
+    }
+}
+
+/// How a segment holds its NFs. See the module docs.
+enum Storage {
+    Boxed(Vec<Box<dyn NetworkFunction>>),
+    Fused(Vec<FusedNf>, Option<ClassifierMemo>),
+}
+
+/// One replica of a run-to-completion server segment. See the module docs.
+pub struct NfRuntime {
+    name: String,
+    packets_in: u64,
+    packets_dropped: u64,
+    nfs: Storage,
+}
+
+impl NfRuntime {
+    fn new(name: &str, nfs: Storage) -> NfRuntime {
+        let rt = NfRuntime {
+            name: name.to_string(),
+            packets_in: 0,
+            packets_dropped: 0,
+            nfs,
+        };
+        assert!(!rt.is_empty(), "segment needs at least one NF");
+        rt
+    }
+
+    /// Build from per-NF trait objects (must be non-empty) — the reference
+    /// semantics.
+    pub fn boxed(name: &str, nfs: Vec<Box<dyn NetworkFunction>>) -> NfRuntime {
+        NfRuntime::new(name, Storage::Boxed(nfs))
+    }
+
+    /// Build from static-dispatch NF instances (must be non-empty).
+    pub fn fused(name: &str, nfs: Vec<FusedNf>) -> NfRuntime {
+        let memo = ClassifierMemo::over(&nfs);
+        NfRuntime::new(name, Storage::Fused(nfs, memo))
+    }
+
+    /// True when this replica holds the fused storage.
+    pub fn is_fused(&self) -> bool {
+        matches!(self.nfs, Storage::Fused(..))
     }
 
     /// The segment's display name.
@@ -184,181 +207,73 @@ impl FusedSegment {
         &self.name
     }
 
-    /// Number of NFs fused into this segment.
+    /// Number of NFs in the segment.
     pub fn len(&self) -> usize {
-        self.nfs.len()
+        match &self.nfs {
+            Storage::Boxed(nfs) => nfs.len(),
+            Storage::Fused(nfs, _) => nfs.len(),
+        }
     }
 
     /// True if the segment has no NFs (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.nfs.is_empty()
+        self.len() == 0
+    }
+
+    fn nf(&self, idx: usize) -> Option<&dyn NetworkFunction> {
+        match &self.nfs {
+            Storage::Boxed(nfs) => nfs.get(idx).map(|nf| &**nf),
+            Storage::Fused(nfs, _) => nfs.get(idx).map(FusedNf::as_nf),
+        }
+    }
+
+    fn nf_mut(&mut self, idx: usize) -> Option<&mut dyn NetworkFunction> {
+        match &mut self.nfs {
+            Storage::Boxed(nfs) => nfs.get_mut(idx).map(|nf| &mut **nf as _),
+            Storage::Fused(nfs, _) => nfs.get_mut(idx).map(FusedNf::as_nf_mut),
+        }
     }
 
     /// True if any member NF is stateful (non-replicable, §3.2).
     pub fn is_stateful(&self) -> bool {
-        self.nfs.iter().any(|nf| nf.as_nf().is_stateful())
+        (0..self.len()).any(|idx| self.nf(idx).is_some_and(|nf| nf.is_stateful()))
     }
 
     /// Process one packet through the whole segment. Returns the exit gate
-    /// or `None` if dropped. Identical semantics to
-    /// [`Subgroup::process_packet`], minus the vtable and re-parses.
+    /// or `None` if dropped.
     #[inline]
-    pub fn process_packet(
-        &mut self,
-        ctx: &NfCtx,
-        pkt: &mut lemur_packet::PacketBuf,
-    ) -> Option<usize> {
+    pub fn process_packet(&mut self, ctx: &NfCtx, pkt: &mut PacketBuf) -> Option<usize> {
         self.packets_in += 1;
-        let mut cache = FlowCache::default();
-        let last = self.nfs.len() - 1;
-        let mut i = 0;
-        while i <= last {
-            if self.memo_run.is_some_and(|(start, _)| i == start) {
-                let span = self.memo_run.unwrap();
-                match Self::memo_span(
-                    &mut self.nfs,
-                    &mut self.memo,
-                    span,
-                    last,
-                    ctx,
-                    pkt,
-                    &mut cache,
-                ) {
-                    MemoOutcome::Proceed => {
-                        i = span.1;
-                        continue;
-                    }
-                    MemoOutcome::Drop => {
-                        self.packets_dropped += 1;
-                        return None;
-                    }
-                    MemoOutcome::Exit(g) => return Some(g),
-                }
+        let outcome = match &mut self.nfs {
+            Storage::Boxed(nfs) => {
+                let last = nfs.len() - 1;
+                run(nfs, 0, last, |nf| nf.process(ctx, pkt))
             }
-            match self.nfs[i].process_cached(ctx, pkt, &mut cache) {
-                Verdict::Forward => {}
-                Verdict::Drop => {
-                    self.packets_dropped += 1;
-                    return None;
+            Storage::Fused(nfs, memo) => {
+                let mut cache = FlowCache::default();
+                let last = nfs.len() - 1;
+                let span = memo.as_ref().map_or(0..0, |m| m.span.clone());
+                let mut outcome = run(&mut nfs[..span.start], 0, last, |nf| {
+                    nf.process_cached(ctx, pkt, &mut cache)
+                });
+                if let (Outcome::Proceed, Some(memo)) = (outcome, memo) {
+                    outcome = memo.process(nfs, ctx, pkt, &mut cache);
                 }
-                Verdict::Gate(g) => {
-                    if i == last {
-                        return Some(g);
-                    }
-                    if g != 0 {
-                        self.packets_dropped += 1;
-                        return None;
-                    }
+                if outcome == Outcome::Proceed {
+                    outcome = run(&mut nfs[span.end..], span.end, last, |nf| {
+                        nf.process_cached(ctx, pkt, &mut cache)
+                    });
                 }
+                outcome
             }
-            i += 1;
-        }
-        Some(0)
-    }
-
-    /// The fused hot path: sweep a whole batch NF-major, in place.
-    ///
-    /// On return the batch holds the surviving packets in their original
-    /// order and `gates_out[i]` is the exit gate of the i-th survivor;
-    /// the number of dropped packets is returned. Ledger updates are per
-    /// batch, and all working state (parse caches, gate marks) lives in
-    /// reused scratch buffers — the steady state allocates nothing.
-    pub fn process_batch_inplace(
-        &mut self,
-        ctx: &NfCtx,
-        batch: &mut Batch,
-        gates_out: &mut Vec<usize>,
-    ) -> usize {
-        let n = batch.len();
-        self.packets_in += n as u64;
-        self.caches.clear();
-        self.caches.resize(n, FlowCache::default());
-        gates_out.clear();
-        gates_out.resize(n, 0);
-        let mut dropped = 0usize;
-        let last = self.nfs.len() - 1;
-        let mut i = 0;
-        while i < self.nfs.len() {
-            // At the memoized span, switch to a per-packet probe: a flow
-            // already in the memo replays its folded outcome and skips the
-            // span's NFs entirely (the megaflow fast path).
-            if self.memo_run.is_some_and(|(start, _)| i == start) {
-                let span = self.memo_run.unwrap();
-                let pkts = batch.as_mut_slice();
-                for slot in 0..n {
-                    if gates_out[slot] == DROPPED {
-                        continue;
-                    }
-                    match Self::memo_span(
-                        &mut self.nfs,
-                        &mut self.memo,
-                        span,
-                        last,
-                        ctx,
-                        &mut pkts[slot],
-                        &mut self.caches[slot],
-                    ) {
-                        MemoOutcome::Proceed => {}
-                        MemoOutcome::Drop => {
-                            gates_out[slot] = DROPPED;
-                            dropped += 1;
-                        }
-                        MemoOutcome::Exit(g) => {
-                            gates_out[slot] = g;
-                        }
-                    }
-                }
-                i = span.1;
-                continue;
+        };
+        match outcome {
+            Outcome::Exit(gate) => Some(gate),
+            Outcome::Proceed => Some(0),
+            Outcome::Drop => {
+                self.packets_dropped += 1;
+                None
             }
-            let pkts = batch.as_mut_slice();
-            let nf = &mut self.nfs[i];
-            for slot in 0..n {
-                if gates_out[slot] == DROPPED {
-                    continue;
-                }
-                match nf.process_cached(ctx, &mut pkts[slot], &mut self.caches[slot]) {
-                    Verdict::Forward => {}
-                    Verdict::Drop => {
-                        gates_out[slot] = DROPPED;
-                        dropped += 1;
-                    }
-                    Verdict::Gate(g) => {
-                        if i == last {
-                            gates_out[slot] = g;
-                        } else if g != 0 {
-                            gates_out[slot] = DROPPED;
-                            dropped += 1;
-                        }
-                    }
-                }
-            }
-            i += 1;
-        }
-        self.packets_dropped += dropped as u64;
-        // Compact survivors in order (gate marks drive the packet retain);
-        // a clean batch — the steady state — skips the pass entirely.
-        if dropped > 0 {
-            let mut slot = 0;
-            batch.retain(|_| {
-                let keep = gates_out[slot] != DROPPED;
-                slot += 1;
-                keep
-            });
-            gates_out.retain(|g| *g != DROPPED);
-        }
-        debug_assert_eq!(batch.len(), gates_out.len());
-        dropped
-    }
-
-    /// Batch processing with the reference output shape (used by the
-    /// differential tests to diff against [`Subgroup::process_batch`]).
-    pub fn process_batch(&mut self, ctx: &NfCtx, mut batch: Batch) -> SubgroupOutput {
-        let mut gates = Vec::with_capacity(batch.len());
-        let dropped = self.process_batch_inplace(ctx, &mut batch, &mut gates);
-        SubgroupOutput {
-            packets: batch.into_iter().zip(gates).collect(),
-            dropped,
         }
     }
 
@@ -374,190 +289,50 @@ impl FusedSegment {
 
     /// The kind of the NF at `idx`, if in range.
     pub fn nf_kind(&self, idx: usize) -> Option<NfKind> {
-        self.nfs.get(idx).map(|nf| nf.kind())
+        self.nf(idx).map(|nf| nf.kind())
     }
 
-    /// Snapshot the migratable state of the NF at `idx`.
+    /// Snapshot the migratable state of the NF at `idx` (`None` if the NF
+    /// exports none or `idx` is out of range).
     pub fn snapshot_nf(&self, idx: usize) -> Option<NfSnapshot> {
-        self.nfs.get(idx).and_then(|nf| nf.as_nf().snapshot_state())
+        self.nf(idx).and_then(|nf| nf.snapshot_state())
     }
 
-    /// Restore a snapshot into the NF at `idx`. All-or-nothing. Drops the
-    /// classifier memo — the memoized NFs are stateless, so this is purely
-    /// defensive, but it keeps "memo matches current NF config" trivially
-    /// invariant.
+    /// Restore a snapshot into the NF at `idx`. All-or-nothing: on `Err`
+    /// the NF is unchanged. Drops the classifier memo — the memoized NFs
+    /// are stateless, so this is purely defensive, but it keeps "memo
+    /// matches current NF config" trivially invariant.
     pub fn restore_nf(&mut self, idx: usize, snapshot: &NfSnapshot) -> Result<(), SnapshotError> {
-        match self.nfs.get_mut(idx) {
-            Some(nf) => {
-                let r = nf.as_nf_mut().restore_state(snapshot);
-                if r.is_ok() {
-                    self.memo.clear();
-                }
-                r
-            }
-            None => Err(SnapshotError::Invalid("NF index out of range in segment")),
+        self.nf_mut(idx)
+            .ok_or(SnapshotError::Invalid("NF index out of range in segment"))?
+            .restore_state(snapshot)?;
+        if let Storage::Fused(_, Some(memo)) = &mut self.nfs {
+            memo.outcomes.clear();
         }
+        Ok(())
     }
 
     /// FNV-1a/128 state fingerprint of the NF at `idx` (0 when stateless
     /// or out of range).
     pub fn nf_state_fingerprint(&self, idx: usize) -> u128 {
-        self.nfs
-            .get(idx)
-            .map(|nf| nf.as_nf().state_fingerprint())
-            .unwrap_or(0)
+        self.nf(idx).map_or(0, |nf| nf.state_fingerprint())
     }
 
     /// Apply one SLO window's analytic-tail mass to the NF at `idx`
-    /// (hybrid engine). The memo is untouched: memoized spans cover only
-    /// tuple-pure NFs, which ignore aggregates by construction.
+    /// (hybrid engine); `None` when `idx` is out of range. The memo is
+    /// untouched: memoized spans cover only tuple-pure NFs, which ignore
+    /// aggregates by construction.
     pub fn apply_aggregate_nf(
         &mut self,
         idx: usize,
         update: &AggregateUpdate,
     ) -> Option<AggregateOutcome> {
-        self.nfs
-            .get_mut(idx)
-            .map(|nf| nf.as_nf_mut().apply_aggregate(update))
+        self.nf_mut(idx).map(|nf| nf.apply_aggregate(update))
     }
 
     /// Combined exact + tail observables of the NF at `idx`.
     pub fn nf_observables(&self, idx: usize) -> Option<AggregateObservables> {
-        self.nfs.get(idx).map(|nf| nf.as_nf().observables())
-    }
-}
-
-/// The runtime emitted for one subgroup replica: either the per-NF
-/// reference path or the fused sweep. The engine calls through this enum,
-/// so both runtimes are interchangeable mid-deployment (an epoch swap may
-/// stage one mode while the live epoch runs the other).
-pub enum NfRuntime {
-    Boxed(Subgroup),
-    Fused(FusedSegment),
-}
-
-impl NfRuntime {
-    /// True when this replica runs the fused sweep.
-    pub fn is_fused(&self) -> bool {
-        matches!(self, NfRuntime::Fused(_))
-    }
-
-    /// The subgroup's display name.
-    pub fn name(&self) -> &str {
-        match self {
-            NfRuntime::Boxed(s) => s.name(),
-            NfRuntime::Fused(s) => s.name(),
-        }
-    }
-
-    /// Number of NFs in the subgroup.
-    pub fn len(&self) -> usize {
-        match self {
-            NfRuntime::Boxed(s) => s.len(),
-            NfRuntime::Fused(s) => s.len(),
-        }
-    }
-
-    /// True if the subgroup has no NFs (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True if any member NF is stateful.
-    pub fn is_stateful(&self) -> bool {
-        match self {
-            NfRuntime::Boxed(s) => s.is_stateful(),
-            NfRuntime::Fused(s) => s.is_stateful(),
-        }
-    }
-
-    /// Process one packet; returns the exit gate or `None` if dropped.
-    #[inline]
-    pub fn process_packet(
-        &mut self,
-        ctx: &NfCtx,
-        pkt: &mut lemur_packet::PacketBuf,
-    ) -> Option<usize> {
-        match self {
-            NfRuntime::Boxed(s) => s.process_packet(ctx, pkt),
-            NfRuntime::Fused(s) => s.process_packet(ctx, pkt),
-        }
-    }
-
-    /// Run a batch to completion, collecting survivors per exit gate.
-    pub fn process_batch(&mut self, ctx: &NfCtx, batch: Batch) -> SubgroupOutput {
-        match self {
-            NfRuntime::Boxed(s) => s.process_batch(ctx, batch),
-            NfRuntime::Fused(s) => s.process_batch(ctx, batch),
-        }
-    }
-
-    /// Packets seen so far.
-    pub fn packets_in(&self) -> u64 {
-        match self {
-            NfRuntime::Boxed(s) => s.packets_in(),
-            NfRuntime::Fused(s) => s.packets_in(),
-        }
-    }
-
-    /// Packets dropped so far.
-    pub fn packets_dropped(&self) -> u64 {
-        match self {
-            NfRuntime::Boxed(s) => s.packets_dropped(),
-            NfRuntime::Fused(s) => s.packets_dropped(),
-        }
-    }
-
-    /// The kind of the NF at `idx`, if in range.
-    pub fn nf_kind(&self, idx: usize) -> Option<NfKind> {
-        match self {
-            NfRuntime::Boxed(s) => s.nf_kind(idx),
-            NfRuntime::Fused(s) => s.nf_kind(idx),
-        }
-    }
-
-    /// Snapshot the migratable state of the NF at `idx`.
-    pub fn snapshot_nf(&self, idx: usize) -> Option<NfSnapshot> {
-        match self {
-            NfRuntime::Boxed(s) => s.snapshot_nf(idx),
-            NfRuntime::Fused(s) => s.snapshot_nf(idx),
-        }
-    }
-
-    /// Restore a snapshot into the NF at `idx`. All-or-nothing.
-    pub fn restore_nf(&mut self, idx: usize, snapshot: &NfSnapshot) -> Result<(), SnapshotError> {
-        match self {
-            NfRuntime::Boxed(s) => s.restore_nf(idx, snapshot),
-            NfRuntime::Fused(s) => s.restore_nf(idx, snapshot),
-        }
-    }
-
-    /// FNV-1a/128 state fingerprint of the NF at `idx`.
-    pub fn nf_state_fingerprint(&self, idx: usize) -> u128 {
-        match self {
-            NfRuntime::Boxed(s) => s.nf_state_fingerprint(idx),
-            NfRuntime::Fused(s) => s.nf_state_fingerprint(idx),
-        }
-    }
-
-    /// Apply one SLO window's analytic-tail mass to the NF at `idx`.
-    pub fn apply_aggregate_nf(
-        &mut self,
-        idx: usize,
-        update: &AggregateUpdate,
-    ) -> Option<AggregateOutcome> {
-        match self {
-            NfRuntime::Boxed(s) => s.apply_aggregate_nf(idx, update),
-            NfRuntime::Fused(s) => s.apply_aggregate_nf(idx, update),
-        }
-    }
-
-    /// Combined exact + tail observables of the NF at `idx`.
-    pub fn nf_observables(&self, idx: usize) -> Option<AggregateObservables> {
-        match self {
-            NfRuntime::Boxed(s) => s.nf_observables(idx),
-            NfRuntime::Fused(s) => s.nf_observables(idx),
-        }
+        self.nf(idx).map(|nf| nf.observables())
     }
 }
 
@@ -566,7 +341,7 @@ mod tests {
     use super::*;
     use lemur_nf::{build_nf, NfParams, ParamValue};
     use lemur_packet::builder::udp_packet;
-    use lemur_packet::{ethernet, ipv4, PacketBuf};
+    use lemur_packet::{ethernet, ipv4};
 
     fn pkt(dst: ipv4::Address, port: u16) -> PacketBuf {
         udp_packet(
@@ -576,7 +351,7 @@ mod tests {
             dst,
             port,
             80,
-            b"fused segment payload",
+            b"segment payload",
         )
     }
 
@@ -589,101 +364,151 @@ mod tests {
         params
     }
 
-    fn both_runtimes(specs: &[(lemur_nf::NfKind, NfParams)]) -> (Subgroup, FusedSegment) {
-        let boxed = Subgroup::new("ref", specs.iter().map(|(k, p)| build_nf(*k, p)).collect());
-        let fused = FusedSegment::new(
-            "fused",
+    fn split_params(ways: i64) -> NfParams {
+        let mut params = NfParams::new();
+        params.set("split", ParamValue::Int(ways));
+        params
+    }
+
+    /// The same NF list in both storages: `[boxed, fused]`.
+    fn both_storages(name: &str, specs: &[(NfKind, NfParams)]) -> [NfRuntime; 2] {
+        let boxed = NfRuntime::boxed(name, specs.iter().map(|(k, p)| build_nf(*k, p)).collect());
+        let fused = NfRuntime::fused(
+            name,
             specs.iter().map(|(k, p)| FusedNf::build(*k, p)).collect(),
         );
-        (boxed, fused)
+        assert!(!boxed.is_fused() && fused.is_fused());
+        [boxed, fused]
     }
 
     #[test]
-    fn sweep_matches_reference_on_mixed_batch() {
-        use lemur_nf::NfKind;
+    fn mixed_stream_matches_reference_on_both_storages() {
         let specs = vec![
             (NfKind::Acl, acl_params("10.0.0.0/8")),
             (NfKind::Match, NfParams::new()),
             (NfKind::Monitor, NfParams::new()),
             (NfKind::Limiter, NfParams::new()),
         ];
-        let (mut sg, mut fs) = both_runtimes(&specs);
-        let ctx = NfCtx { now_ns: 5_000 };
-        let mut batch_a = Batch::new();
-        let mut batch_b = Batch::new();
-        for i in 0..8u16 {
-            // Half in-prefix (survive the ACL), half out (dropped).
-            let dst = if i % 2 == 0 {
-                ipv4::Address::new(10, 0, 0, (i + 1) as u8)
-            } else {
-                ipv4::Address::new(99, 0, 0, (i + 1) as u8)
+        let [mut boxed, mut fused] = both_storages("mixed", &specs);
+        // Two passes over the same flows: the second one is served from the
+        // fused storage's ACL+Match memo.
+        for round in 0..2u64 {
+            let ctx = NfCtx {
+                now_ns: 5_000 + round,
             };
-            batch_a.push(pkt(dst, 2000 + i));
-            batch_b.push(pkt(dst, 2000 + i));
+            for i in 0..8u16 {
+                // Half in-prefix (survive the ACL), half out (dropped
+                // before the Monitor can count them).
+                let in_prefix = i % 2 == 0;
+                let first = if in_prefix { 10 } else { 99 };
+                let mut a = pkt(ipv4::Address::new(first, 0, 0, (i + 1) as u8), 2000 + i);
+                let mut b = a.clone();
+                let verdict = boxed.process_packet(&ctx, &mut a);
+                assert_eq!(verdict, in_prefix.then_some(0), "packet {i}");
+                assert_eq!(verdict, fused.process_packet(&ctx, &mut b), "packet {i}");
+                assert_eq!(a, b, "packet {i} bytes diverged");
+            }
         }
-        let ref_out = sg.process_batch(&ctx, batch_a);
-        let fused_out = fs.process_batch(&ctx, batch_b);
-        assert_eq!(ref_out.dropped, fused_out.dropped);
-        assert_eq!(ref_out.packets, fused_out.packets);
-        assert_eq!(sg.packets_in(), fs.packets_in());
-        assert_eq!(sg.packets_dropped(), fs.packets_dropped());
+        for rt in [&boxed, &fused] {
+            assert_eq!(rt.len(), 4);
+            assert_eq!(rt.packets_in(), 16);
+            assert_eq!(rt.packets_dropped(), 8);
+        }
         for idx in 0..specs.len() {
             assert_eq!(
-                sg.nf_state_fingerprint(idx),
-                fs.nf_state_fingerprint(idx),
+                boxed.nf_state_fingerprint(idx),
+                fused.nf_state_fingerprint(idx),
                 "NF {idx} state diverged"
             );
         }
-    }
-
-    #[test]
-    fn inplace_sweep_reuses_scratch_and_compacts_in_order() {
-        use lemur_nf::NfKind;
-        let specs = vec![(NfKind::Acl, acl_params("10.0.0.0/8"))];
-        let (_, mut fs) = both_runtimes(&specs);
-        let ctx = NfCtx::default();
-        let mut gates = Vec::new();
-        for round in 0..3 {
-            let mut batch = Batch::new();
-            batch.push(pkt(ipv4::Address::new(10, 0, 0, 1), 1000));
-            batch.push(pkt(ipv4::Address::new(99, 0, 0, 1), 1001));
-            batch.push(pkt(ipv4::Address::new(10, 0, 0, 2), 1002));
-            let dropped = fs.process_batch_inplace(&ctx, &mut batch, &mut gates);
-            assert_eq!(dropped, 1, "round {round}");
-            assert_eq!(batch.len(), 2);
-            assert_eq!(gates, vec![0, 0]);
-            // Survivors keep their original relative order.
-            let ports: Vec<u16> = batch
-                .iter()
-                .map(|p| {
-                    lemur_packet::flow::FiveTuple::parse(p.as_slice())
-                        .unwrap()
-                        .src_port
-                })
-                .collect();
-            assert_eq!(ports, vec![1000, 1002]);
-        }
-        assert_eq!(fs.packets_in(), 9);
-        assert_eq!(fs.packets_dropped(), 3);
+        let monitor = build_nf(NfKind::Monitor, &NfParams::new()).state_fingerprint();
+        assert_ne!(
+            fused.nf_state_fingerprint(2),
+            monitor,
+            "Monitor saw nothing"
+        );
     }
 
     #[test]
     fn terminal_branch_gates_match_reference() {
-        use lemur_nf::NfKind;
-        let mut split = NfParams::new();
-        split.set("split", ParamValue::Int(3));
-        let specs = vec![(NfKind::Monitor, NfParams::new()), (NfKind::Match, split)];
-        let (mut sg, mut fs) = both_runtimes(&specs);
+        let specs = vec![
+            (NfKind::Monitor, NfParams::new()),
+            (NfKind::Match, split_params(3)),
+        ];
+        let [mut boxed, mut fused] = both_storages("brancher", &specs);
         let ctx = NfCtx::default();
         for port in 3000..3050u16 {
             let mut a = pkt(ipv4::Address::new(10, 0, 0, 7), port);
             let mut b = a.clone();
             assert_eq!(
-                sg.process_packet(&ctx, &mut a),
-                fs.process_packet(&ctx, &mut b),
+                boxed.process_packet(&ctx, &mut a),
+                fused.process_packet(&ctx, &mut b),
                 "gate diverged for port {port}"
             );
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn terminal_match_reports_gate() {
+        let specs = vec![
+            (NfKind::Monitor, NfParams::new()),
+            (NfKind::Match, split_params(3)),
+        ];
+        let ctx = NfCtx::default();
+        for mut rt in both_storages("brancher", &specs) {
+            let gates: std::collections::HashSet<usize> = (0..50u16)
+                .map(|i| {
+                    let mut p = pkt(ipv4::Address::new(10, 0, 0, 2), 1000 + i);
+                    rt.process_packet(&ctx, &mut p).unwrap()
+                })
+                .collect();
+            assert!(gates.len() >= 2, "split must use several gates: {gates:?}");
+            assert!(gates.iter().all(|g| *g < 3));
+        }
+    }
+
+    #[test]
+    fn stateful_detection() {
+        let acl = (NfKind::Acl, NfParams::new());
+        let stateless = [acl.clone(), (NfKind::Ipv4Fwd, NfParams::new())];
+        let stateful = [acl, (NfKind::Limiter, NfParams::new())];
+        for rt in both_storages("s", &stateless) {
+            assert!(!rt.is_stateful());
+        }
+        for rt in both_storages("t", &stateful) {
+            assert!(rt.is_stateful());
+        }
+    }
+
+    /// `bessgen` gives each replica a runtime built afresh from the same
+    /// node specs: same configuration, no shared state.
+    #[test]
+    fn replicas_share_config_not_state() {
+        let specs = [(NfKind::Monitor, NfParams::new())];
+        let ctx = NfCtx::default();
+        for (mut used, replica) in both_storages("m", &specs)
+            .into_iter()
+            .zip(both_storages("m", &specs))
+        {
+            let mut p = pkt(ipv4::Address::new(10, 0, 0, 1), 1111);
+            used.process_packet(&ctx, &mut p);
+            assert_eq!(used.packets_in(), 1);
+            assert_eq!(replica.packets_in(), 0);
+            assert_eq!(replica.len(), 1);
+            assert_eq!(replica.name(), "m");
+            assert_eq!(replica.nf_kind(0), used.nf_kind(0));
+            assert_ne!(
+                replica.nf_state_fingerprint(0),
+                used.nf_state_fingerprint(0)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one NF")]
+    fn empty_segment_panics() {
+        assert!(std::panic::catch_unwind(|| NfRuntime::fused("x", vec![])).is_err());
+        NfRuntime::boxed("x", vec![]);
     }
 }

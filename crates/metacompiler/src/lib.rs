@@ -17,6 +17,8 @@
 //! * [`bessgen`] — BESS pipeline generation per server: NSHdecap/demux,
 //!   run-to-completion subgroup instances with replica counts, NSHencap,
 //!   scheduler-tree core assignment, and the textual BESS script.
+//! * [`fuse`] — [`NfRuntime`], the one server-segment runtime `bessgen`
+//!   instantiates per replica, over boxed or fused NF storage.
 //! * [`ebpfgen`] — eBPF program generation for SmartNIC-resident NFs with
 //!   loop unrolling and full inlining (§A.3).
 //! * [`ofgen`] — OpenFlow rules using the 12-bit VLAN VID as SPI/SI.
@@ -37,7 +39,7 @@ pub mod oracle;
 pub mod p4gen;
 pub mod routing;
 
-pub use fuse::{FusedSegment, NfRuntime, RuntimeMode};
+pub use fuse::NfRuntime;
 pub use oracle::{CachedCompilerOracle, CompilerOracle};
 pub use p4gen::{P4GenOptions, SynthesizedP4};
 pub use routing::{Location, PathRoute, RoutingPlan, Segment};
@@ -73,7 +75,8 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Run the full meta-compilation pipeline (reference server runtime).
+/// Run the full meta-compilation pipeline with boxed (reference) server
+/// runtimes.
 pub fn compile(
     problem: &PlacementProblem,
     placement: &EvaluatedPlacement,
@@ -81,20 +84,14 @@ pub fn compile(
     compile_with_options(problem, placement, P4GenOptions::default())
 }
 
-/// Full pipeline with server subgroups compiled into fused batch-sweep
-/// segments (see [`fuse`]). Routing, P4, and eBPF outputs are identical to
-/// [`compile`]; only the server runtime representation changes.
+/// Full pipeline with fused server runtimes (see [`fuse`]). Routing, P4,
+/// and eBPF outputs are identical to [`compile`]; only the storage of each
+/// [`NfRuntime`] changes. With [`compile`], the one place it is chosen.
 pub fn compile_fused(
     problem: &PlacementProblem,
     placement: &EvaluatedPlacement,
 ) -> Result<Deployment, CompileError> {
-    compile_inner_with_mode(
-        problem,
-        placement,
-        P4GenOptions::default(),
-        None,
-        RuntimeMode::Fused,
-    )
+    compile_inner(problem, placement, P4GenOptions::default(), None, true)
 }
 
 /// Full pipeline with explicit P4 generation options (used by the stage
@@ -104,7 +101,7 @@ pub fn compile_with_options(
     placement: &EvaluatedPlacement,
     p4_options: P4GenOptions,
 ) -> Result<Deployment, CompileError> {
-    compile_inner(problem, placement, p4_options, None)
+    compile_inner(problem, placement, p4_options, None, false)
 }
 
 /// Re-compile a *repaired sub-problem* without global renumbering:
@@ -117,7 +114,13 @@ pub fn compile_repair(
     placement: &EvaluatedPlacement,
     spi_bases: &[u32],
 ) -> Result<Deployment, CompileError> {
-    compile_inner(problem, placement, P4GenOptions::default(), Some(spi_bases))
+    compile_inner(
+        problem,
+        placement,
+        P4GenOptions::default(),
+        Some(spi_bases),
+        false,
+    )
 }
 
 fn compile_inner(
@@ -125,27 +128,12 @@ fn compile_inner(
     placement: &EvaluatedPlacement,
     p4_options: P4GenOptions,
     spi_bases: Option<&[u32]>,
-) -> Result<Deployment, CompileError> {
-    compile_inner_with_mode(
-        problem,
-        placement,
-        p4_options,
-        spi_bases,
-        RuntimeMode::Reference,
-    )
-}
-
-fn compile_inner_with_mode(
-    problem: &PlacementProblem,
-    placement: &EvaluatedPlacement,
-    p4_options: P4GenOptions,
-    spi_bases: Option<&[u32]>,
-    mode: RuntimeMode,
+    fused: bool,
 ) -> Result<Deployment, CompileError> {
     let routing = routing::plan_with_spi_bases(problem, &placement.assignment, spi_bases);
     let p4 = p4gen::synthesize(problem, &placement.assignment, &routing, p4_options)
         .map_err(CompileError::P4)?;
-    let bess = bessgen::generate_with_mode(problem, placement, &routing, mode);
+    let bess = bessgen::generate(problem, placement, &routing, fused);
     let ebpf = ebpfgen::generate(problem, placement, &routing).map_err(CompileError::Ebpf)?;
     let stats = loc::account(problem, &p4, &bess, &ebpf);
     Ok(Deployment {

@@ -118,26 +118,6 @@ impl FusedNf {
         }
     }
 
-    /// The NF kind.
-    pub fn kind(&self) -> NfKind {
-        match self {
-            FusedNf::Encrypt(_) => NfKind::Encrypt,
-            FusedNf::Decrypt(_) => NfKind::Decrypt,
-            FusedNf::FastEncrypt(_) => NfKind::FastEncrypt,
-            FusedNf::Dedup(_) => NfKind::Dedup,
-            FusedNf::Tunnel(_) => NfKind::Tunnel,
-            FusedNf::Detunnel(_) => NfKind::Detunnel,
-            FusedNf::Ipv4Fwd(_) => NfKind::Ipv4Fwd,
-            FusedNf::Limiter(_) => NfKind::Limiter,
-            FusedNf::UrlFilter(_) => NfKind::UrlFilter,
-            FusedNf::Monitor(_) => NfKind::Monitor,
-            FusedNf::Nat(_) => NfKind::Nat,
-            FusedNf::Lb(_) => NfKind::Lb,
-            FusedNf::Match(_) => NfKind::Match,
-            FusedNf::Acl(_) => NfKind::Acl,
-        }
-    }
-
     /// True if processing may rewrite bytes the 5-tuple parse depends on,
     /// so any cached parse of the packet must be discarded afterwards.
     /// Conservative: only kinds proven tuple-preserving return false.
@@ -298,7 +278,6 @@ mod tests {
         let params = NfParams::new();
         for kind in NfKind::ALL {
             let f = FusedNf::build(kind, &params);
-            assert_eq!(f.kind(), kind);
             assert_eq!(f.as_nf().kind(), kind);
         }
     }

@@ -44,7 +44,7 @@ pub mod urlfilter;
 
 pub use aggregate::{AggregateObservables, AggregateOutcome, AggregateUpdate};
 pub use params::{NfParams, ParamValue};
-pub use snapshot::{NfSnapshot, SnapshotError, StateDigest, SNAPSHOT_VERSION};
+pub use snapshot::{NfSnapshot, SnapshotError, SNAPSHOT_VERSION};
 
 use lemur_packet::PacketBuf;
 use std::fmt;

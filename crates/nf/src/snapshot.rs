@@ -22,6 +22,7 @@
 //! ```
 
 use crate::NfKind;
+pub use lemur_packet::digest::Fnv128;
 use std::fmt;
 
 /// Current snapshot wire-format version.
@@ -29,54 +30,6 @@ pub const SNAPSHOT_VERSION: u16 = 1;
 
 /// `b"LMSN"` as a little-endian u32.
 const MAGIC: u32 = u32::from_le_bytes(*b"LMSN");
-
-/// Incremental FNV-1a/128 hasher (the PR 3 fingerprint idiom from
-/// `lemur-p4sim`): length-prefixed byte strings keep the stream
-/// prefix-free, so distinct states cannot collide by concatenation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StateDigest(u128);
-
-impl StateDigest {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-
-    /// Start a fresh digest.
-    pub fn new() -> StateDigest {
-        StateDigest(Self::OFFSET)
-    }
-
-    /// Mix in one byte.
-    pub fn byte(&mut self, b: u8) {
-        self.0 ^= b as u128;
-        self.0 = self.0.wrapping_mul(Self::PRIME);
-    }
-
-    /// Mix in a length-prefixed byte string.
-    pub fn bytes(&mut self, bytes: &[u8]) {
-        self.word(bytes.len() as u64);
-        for &b in bytes {
-            self.byte(b);
-        }
-    }
-
-    /// Mix in a 64-bit word (little-endian).
-    pub fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    /// The accumulated digest value.
-    pub fn finish(&self) -> u128 {
-        self.0
-    }
-}
-
-impl Default for StateDigest {
-    fn default() -> Self {
-        StateDigest::new()
-    }
-}
 
 /// Why a snapshot could not be decoded or applied. Decoding validates the
 /// full framing *and* payload before any state is mutated, so every error
@@ -276,7 +229,7 @@ impl NfSnapshot {
     /// which — because the payload encoding is canonical — means equal
     /// migratable state.
     pub fn fingerprint(&self) -> u128 {
-        let mut d = StateDigest::new();
+        let mut d = Fnv128::new();
         d.word(MAGIC as u64);
         d.word(self.version as u64);
         d.word(kind_index(self.kind) as u64);

@@ -1,5 +1,6 @@
 //! P4-like intermediate representation: fields, tables, actions, control.
 
+use lemur_packet::digest::Fnv128;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -448,7 +449,7 @@ impl P4Program {
     /// order, and stable across processes and runs (no `DefaultHasher`
     /// seeding).
     pub fn fingerprint(&self) -> u128 {
-        let mut fp = Fingerprint::new();
+        let mut fp = Fnv128::new();
         fp.word(self.tables.len() as u64);
         for t in &self.tables {
             fp.bytes(t.name.as_bytes());
@@ -476,41 +477,6 @@ impl P4Program {
     }
 }
 
-/// Incremental FNV-1a/128 over a canonical byte stream.
-struct Fingerprint(u128);
-
-impl Fingerprint {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-
-    fn new() -> Fingerprint {
-        Fingerprint(Self::OFFSET)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u128;
-        self.0 = self.0.wrapping_mul(Self::PRIME);
-    }
-
-    fn bytes(&mut self, bs: &[u8]) {
-        // Length-prefix so concatenated fields cannot alias.
-        self.word(bs.len() as u64);
-        for b in bs {
-            self.byte(*b);
-        }
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    fn finish(self) -> u128 {
-        self.0
-    }
-}
-
 /// Stable numeric code for a field (variant tag ×256 + payload).
 fn field_code(f: FieldRef) -> u64 {
     match f {
@@ -531,7 +497,7 @@ fn field_code(f: FieldRef) -> u64 {
     }
 }
 
-fn primitive_code(p: &Primitive, fp: &mut Fingerprint) {
+fn primitive_code(p: &Primitive, fp: &mut Fnv128) {
     match p {
         Primitive::SetFieldConst(f, v) => {
             fp.word(1);
@@ -567,7 +533,7 @@ fn primitive_code(p: &Primitive, fp: &mut Fingerprint) {
     }
 }
 
-fn control_code(c: &Control, fp: &mut Fingerprint) {
+fn control_code(c: &Control, fp: &mut Fnv128) {
     match c {
         Control::Nop => fp.word(1),
         Control::Apply(t) => {

@@ -1,18 +1,13 @@
-//! Owned packet buffers and BESS-style batches.
+//! Owned packet buffers.
 //!
 //! [`PacketBuf`] keeps headroom in front of the frame so that pushing an
 //! encapsulation header (NSH at the server edge, a VLAN tag at the Tunnel NF)
 //! is a copy of the header bytes only, mirroring how DPDK mbufs prepend
-//! headers. [`Batch`] groups packets the way BESS modules process them:
-//! a run-to-completion subgroup fully processes one batch before pulling the
-//! next (§3.2).
+//! headers.
 
 /// Default headroom reserved in front of a packet, enough for several
 /// levels of encapsulation (Ethernet 14 + NSH 8 + VLAN 4, with slack).
 pub const DEFAULT_HEADROOM: usize = 64;
-
-/// The batch size BESS uses for run-to-completion processing.
-pub const BATCH_SIZE: usize = 32;
 
 /// An owned packet with prepend headroom.
 ///
@@ -204,93 +199,6 @@ impl PacketBuf {
     }
 }
 
-/// A batch of packets, processed together by one subgroup invocation.
-#[derive(Debug, Default, Clone)]
-pub struct Batch {
-    packets: Vec<PacketBuf>,
-}
-
-impl Batch {
-    /// An empty batch with [`BATCH_SIZE`] capacity.
-    pub fn new() -> Batch {
-        Batch {
-            packets: Vec::with_capacity(BATCH_SIZE),
-        }
-    }
-
-    /// Build a batch from packets.
-    pub fn from_packets(packets: Vec<PacketBuf>) -> Batch {
-        Batch { packets }
-    }
-
-    /// Number of packets.
-    pub fn len(&self) -> usize {
-        self.packets.len()
-    }
-
-    /// True if the batch holds no packets.
-    pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
-    }
-
-    /// Sum of frame lengths in bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.packets.iter().map(|p| p.len()).sum()
-    }
-
-    /// Append a packet.
-    pub fn push(&mut self, p: PacketBuf) {
-        self.packets.push(p);
-    }
-
-    /// Iterate over packets.
-    pub fn iter(&self) -> impl Iterator<Item = &PacketBuf> {
-        self.packets.iter()
-    }
-
-    /// Iterate mutably over packets.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut PacketBuf> {
-        self.packets.iter_mut()
-    }
-
-    /// The packets as a mutable slice (random access for NF-major sweeps).
-    pub fn as_mut_slice(&mut self) -> &mut [PacketBuf] {
-        &mut self.packets
-    }
-
-    /// Drain all packets out of the batch.
-    pub fn drain(&mut self) -> impl Iterator<Item = PacketBuf> + '_ {
-        self.packets.drain(..)
-    }
-
-    /// Retain packets matching a predicate (drop the rest).
-    pub fn retain(&mut self, f: impl FnMut(&PacketBuf) -> bool) {
-        self.packets.retain(f);
-    }
-
-    /// Take the packets, leaving the batch empty.
-    pub fn take(&mut self) -> Vec<PacketBuf> {
-        std::mem::take(&mut self.packets)
-    }
-}
-
-impl IntoIterator for Batch {
-    type Item = PacketBuf;
-    type IntoIter = std::vec::IntoIter<PacketBuf>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.packets.into_iter()
-    }
-}
-
-impl FromIterator<PacketBuf> for Batch {
-    fn from_iter<I: IntoIterator<Item = PacketBuf>>(iter: I) -> Batch {
-        Batch {
-            packets: iter.into_iter().collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,20 +358,5 @@ mod tests {
         // Truncate longer than current length is a no-op.
         p.truncate(100);
         assert_eq!(p.len(), 5);
-    }
-
-    #[test]
-    fn batch_accounting() {
-        let mut b = Batch::new();
-        assert!(b.is_empty());
-        b.push(PacketBuf::from_bytes(&[0u8; 100]));
-        b.push(PacketBuf::from_bytes(&[0u8; 50]));
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.total_bytes(), 150);
-        b.retain(|p| p.len() > 60);
-        assert_eq!(b.len(), 1);
-        let taken = b.take();
-        assert_eq!(taken.len(), 1);
-        assert!(b.is_empty());
     }
 }

@@ -10,8 +10,7 @@
 //! The design follows the smoltcp idiom: each protocol exposes a thin
 //! `Packet<T: AsRef<[u8]>>` view over a byte buffer with checked constructors
 //! (`new_checked`) and explicit field offsets. Views never allocate; owned
-//! packets live in [`PacketBuf`] and travel in [`Batch`]es, mirroring BESS's
-//! packet-batch processing model.
+//! packets live in [`PacketBuf`].
 //!
 //! ```
 //! use lemur_packet::{ethernet, ipv4, udp};
@@ -38,6 +37,7 @@
 pub mod batch;
 pub mod builder;
 pub mod checksum;
+pub mod digest;
 pub mod error;
 pub mod ethernet;
 pub mod flow;
@@ -47,6 +47,6 @@ pub mod tcp;
 pub mod udp;
 pub mod vlan;
 
-pub use batch::{Batch, PacketBuf};
+pub use batch::PacketBuf;
 pub use error::{Error, Result};
 pub use flow::{FiveTuple, TrafficAggregate};
