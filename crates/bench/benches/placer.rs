@@ -112,6 +112,37 @@ fn bench_lp(c: &mut Criterion) {
     });
 }
 
+fn bench_fleet_failover(c: &mut Criterion) {
+    // The coordinator's failover path, placement only: boot the canonical
+    // four-PoP fleet, drain PoP 0, re-seat its chains with the survivors'
+    // chains locked in place. Boot is outside the timed loop.
+    let spec = lemur_fleet::sim::FleetSpec::canonical(4);
+    let profiles = lemur_placer::NfProfiles::table4();
+    let oracle = compiler_oracle();
+    let workers = lemur_placer::Workers::new(1);
+    let boot =
+        lemur_placer::place_fleet(&spec.chains, &spec.topologies, &profiles, &oracle, workers);
+    let refugees = boot.pops[0].chains.clone();
+    assert!(!refugees.is_empty(), "PoP 0 must have chains to fail over");
+    let mut topologies = spec.topologies.clone();
+    topologies[0] = Topology::with_servers(0);
+    let mut locked: Vec<Vec<usize>> = boot.pops.iter().map(|p| p.chains.clone()).collect();
+    locked[0].clear();
+    c.bench_function("fleet_failover_reassign", |b| {
+        b.iter(|| {
+            lemur_placer::seat_chains(
+                &spec.chains,
+                &topologies,
+                &locked,
+                &refugees,
+                &profiles,
+                &oracle,
+                workers,
+            )
+        });
+    });
+}
+
 /// Short measurement windows: these benches exist to regenerate the
 /// paper's cost comparisons, not to chase nanosecond precision.
 fn quick_config() -> Criterion {
@@ -124,6 +155,6 @@ fn quick_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick_config();
-    targets = bench_heuristic, bench_brute, bench_brute_expand, bench_brute_cached, bench_stage_oracle, bench_lp
+    targets = bench_heuristic, bench_brute, bench_brute_expand, bench_brute_cached, bench_stage_oracle, bench_lp, bench_fleet_failover
 }
 criterion_main!(benches);

@@ -138,6 +138,11 @@ impl NfGraph {
         v
     }
 
+    /// Outgoing edge count of a node.
+    pub fn out_degree(&self, id: NodeId) -> usize {
+        self.edges.iter().filter(|e| e.from == id).count()
+    }
+
     /// Incoming edge count of a node.
     pub fn in_degree(&self, id: NodeId) -> usize {
         self.edges.iter().filter(|e| e.to == id).count()
@@ -155,13 +160,13 @@ impl NfGraph {
     pub fn sinks(&self) -> Vec<NodeId> {
         (0..self.nodes.len())
             .map(NodeId)
-            .filter(|id| self.out_edges(*id).is_empty())
+            .filter(|id| self.out_degree(*id) == 0)
             .collect()
     }
 
     /// True if `id` has more than one outgoing edge (a branch point).
     pub fn is_branch(&self, id: NodeId) -> bool {
-        self.out_edges(id).len() > 1
+        self.out_degree(id) > 1
     }
 
     /// True if `id` has more than one incoming edge (a merge point).

@@ -55,7 +55,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use lemur_control::wal::{DecisionLog, PopHealth, WalRecord};
 use lemur_core::graph::ChainSpec;
 use lemur_dataplane::CrossSiteTransfer;
-use lemur_placer::hierarchy::{assign_chains, FleetPlacement};
+use lemur_placer::hierarchy::seat_chains;
 use lemur_placer::oracle::StageOracle;
 use lemur_placer::parallel::Workers;
 use lemur_placer::profiles::NfProfiles;
@@ -944,7 +944,9 @@ impl FleetCoordinator {
             }
         }
         let candidates: Vec<usize> = victims.iter().map(|&(c, _)| c).collect();
-        let fp: FleetPlacement = assign_chains(
+        // Only where each victim lands is read below, so the seating
+        // alone: the PoPs no victim lands on are not re-solved.
+        let fp = seat_chains(
             &self.chains,
             &topos,
             &locked,

@@ -18,13 +18,18 @@ use std::collections::BTreeMap;
 
 /// Pick a concrete server for each chain's server-class NFs: first-fit on
 /// the server with the most remaining (estimated) core headroom. Mirrors
-/// the paper's per-chain NIC/socket association.
+/// the paper's per-chain NIC/socket association. On a rack without
+/// servers every chain gets index 0, which `check_capabilities` rejects for
+/// any NF actually assigned there.
 pub fn choose_server_per_chain(problem: &PlacementProblem, server_nodes: &[usize]) -> Vec<usize> {
     let n_servers = problem.topology.servers.len();
     let mut free: Vec<isize> = (0..n_servers)
         .map(|s| problem.topology.worker_cores(s) as isize)
         .collect();
     let mut choice = vec![0usize; problem.chains.len()];
+    if n_servers == 0 {
+        return choice;
+    }
     // Heaviest chains first grab the emptiest server.
     let mut order: Vec<usize> = (0..problem.chains.len()).collect();
     order.sort_by_key(|c| std::cmp::Reverse(server_nodes[*c]));

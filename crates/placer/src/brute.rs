@@ -23,7 +23,8 @@ use crate::corealloc::{self, CoreStrategy};
 use crate::oracle::{CountingOracle, StageOracle, StageVerdict};
 use crate::parallel::{parallel_flat_map, parallel_map, Workers};
 use crate::placement::{
-    Assignment, EvaluatedPlacement, PlacementError, PlacementProblem, SearchTelemetry, SubgroupPlan,
+    Alloc, Assignment, ChainShape, EvaluatedPlacement, PlacementError, PlacementProblem,
+    SearchTelemetry, SubgroupPlan,
 };
 use crate::profiles::{Platform, PlatformClass};
 use crate::topology::Tor;
@@ -143,10 +144,10 @@ pub fn materialize(pattern: &Pattern, server: usize) -> BTreeMap<NodeId, Platfor
 fn chain_table(
     problem: &PlacementProblem,
     ci: usize,
+    shape: &ChainShape,
     patterns: &[Pattern],
     n_servers: usize,
 ) -> Vec<Option<Vec<SubgroupPlan>>> {
-    let fractions = problem.node_fractions(ci);
     let mut table = Vec::with_capacity(patterns.len() * n_servers);
     for pattern in patterns {
         for server in 0..n_servers {
@@ -155,7 +156,7 @@ fn chain_table(
                 problem
                     .check_chain_capabilities(ci, &placed)
                     .is_ok()
-                    .then(|| problem.chain_subgroups(ci, &placed, &fractions)),
+                    .then(|| problem.chain_subgroups(ci, &placed, shape)),
             );
         }
     }
@@ -218,6 +219,7 @@ pub fn optimal_with_workers(
     let oracle = CountingOracle::new(oracle);
     let cache_before = oracle.cache_stats().unwrap_or_default();
     let per_chain = per_chain_patterns(problem, config.max_patterns_per_chain);
+    let shapes = problem.shapes();
     let n_servers = problem.topology.servers.len().max(1);
     let mut pruned: u64 = 0;
 
@@ -233,7 +235,7 @@ pub fn optimal_with_workers(
             problem.topology.clone(),
             problem.profiles.clone(),
         );
-        let table = chain_table(problem, ci, patterns, n_servers);
+        let table = chain_table(problem, ci, &shapes[ci], patterns, n_servers);
         let generated = beam.len() as u64 * table.len() as u64;
         let mut next: Vec<Successor> = parallel_flat_map(workers, &beam, |parent, partial| {
             let prefix = partial.subgroups.len();
@@ -295,7 +297,11 @@ pub fn optimal_with_workers(
         .collect();
     let lp_evals = ranked.len() as u64;
     let outcomes = parallel_map(workers, &ranked, |_, assignment| {
-        match problem.evaluate(assignment, CoreStrategy::WaterFill) {
+        match problem.evaluate_shaped(
+            &shapes,
+            assignment,
+            Alloc::Strategy(CoreStrategy::WaterFill),
+        ) {
             Ok(mut out) => match oracle.check(problem, assignment) {
                 StageVerdict::Fits { stages } => {
                     out.stages_used = Some(stages);

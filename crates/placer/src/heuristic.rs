@@ -15,13 +15,19 @@
 //!    satisfiable), *conservative* (merge only if the chain's rate does
 //!    not decrease).
 //! 3. **Maximize marginal throughput.** Allocate cores and solve the LP
-//!    for each candidate; keep the best.
+//!    for each distinct candidate (the rules often agree); keep the best.
+//!
+//! [`SearchTelemetry`] counts the oracle queries and evaluations actually
+//! made: a repeated candidate adds no `lp_evals`, and the winner's stage
+//! count costs an `oracle_calls` only when the winner is not the step-1
+//! baseline, whose verdict is already in hand.
 
 use crate::corealloc::CoreStrategy;
 use crate::oracle::{CountingOracle, StageOracle, StageVerdict};
 use crate::parallel::{parallel_map, Workers};
 use crate::placement::{
-    Assignment, EvaluatedPlacement, PlacementError, PlacementProblem, SearchTelemetry,
+    Alloc, Assignment, ChainShape, EvaluatedPlacement, PlacementError, PlacementProblem,
+    SearchTelemetry,
 };
 use crate::profiles::{Platform, PlatformClass};
 use crate::{NSH_OVERHEAD_CYCLES, REPLICATION_OVERHEAD_CYCLES};
@@ -65,6 +71,9 @@ pub fn place_with_workers(
     let oracle = CountingOracle::new(oracle);
     let cache_before = oracle.cache_stats().unwrap_or_default();
     let mut lp_evals: u64 = 0;
+    // Per-chain graph structure, derived once for every candidate below.
+    let shapes = problem.shapes();
+    let evaluate = |a: &Assignment| problem.evaluate_shaped(&shapes, a, Alloc::Strategy(strategy));
     // ---- Step 1: stage-constrained baseline. While the program overflows
     // the pipeline, move switch NFs down to the server, cheapest first —
     // but only demotions that actually reduce the required stages (a tiny
@@ -72,7 +81,7 @@ pub fn place_with_workers(
     // frees nothing). If no single demotion helps, take the cheapest
     // anyway so the loop always makes progress.
     let mut assignment = crate::baselines::hw_preferred_assignment(problem);
-    let mut stages = loop {
+    let stages = loop {
         match oracle.check(problem, &assignment) {
             StageVerdict::Fits { stages } => break stages,
             StageVerdict::OutOfStages {
@@ -126,8 +135,8 @@ pub fn place_with_workers(
     // budget, so besides the uniform aggressive/conservative placements we
     // generate per-chain mixes: each chain's coalescing applied alone.
     let baseline = assignment.clone();
-    let aggressive = coalesce(problem, &baseline, CoalesceRule::Aggressive);
-    let conservative = coalesce(problem, &baseline, CoalesceRule::Conservative);
+    let aggressive = coalesce(problem, &shapes, &baseline, CoalesceRule::Aggressive);
+    let conservative = coalesce(problem, &shapes, &baseline, CoalesceRule::Conservative);
     let nic_offloads = nic_offload_candidates(problem, &baseline);
     let mut mixes: Vec<Assignment> = Vec::new();
     for ci in 0..problem.chains.len() {
@@ -148,16 +157,14 @@ pub fn place_with_workers(
     let mut candidates = vec![baseline.clone(), aggressive, conservative];
     candidates.extend(mixes);
     candidates.extend(nic_offloads);
-    let latencies = problem.latencies_ns(&baseline);
     let violating: Vec<usize> = problem
         .chains
         .iter()
         .enumerate()
         .filter(|(ci, c)| {
-            c.slo
-                .and_then(|s| s.d_max_ns)
-                .map(|d| latencies[*ci] > d)
-                .unwrap_or(false)
+            c.slo.and_then(|s| s.d_max_ns).is_some_and(|d| {
+                problem.chain_latency_ns(c, &baseline[*ci], &shapes[*ci].paths) > d
+            })
         })
         .map(|(ci, _)| ci)
         .collect();
@@ -170,26 +177,36 @@ pub fn place_with_workers(
         candidates.push(low_bounce);
     }
 
-    let mut best: Option<EvaluatedPlacement> = None;
-    let mut last_err = PlacementError::Infeasible("no heuristic candidate feasible".into());
-    lp_evals += candidates.len() as u64;
-    let evaluated = parallel_map(workers, &candidates, |_, cand| {
-        problem.evaluate(cand, strategy)
+    // The rules often agree (a chain with nothing to coalesce contributes
+    // two copies of the baseline), so each distinct assignment is evaluated
+    // once. The fold still runs over the candidates as generated, repeats
+    // included: the winner and, when nothing is feasible, the reported
+    // error are those of a search that evaluated every copy.
+    let first: Vec<usize> = candidates
+        .iter()
+        .map(|c| candidates.iter().position(|d| d == c).expect("c is listed"))
+        .collect();
+    let evaluated = parallel_map(workers, &candidates, |i, cand| {
+        (first[i] == i).then(|| evaluate(cand))
     });
-    for result in evaluated {
-        match result {
+    lp_evals += evaluated.iter().flatten().count() as u64;
+
+    let mut winner: Option<&EvaluatedPlacement> = None;
+    let mut last_err = PlacementError::Infeasible("no heuristic candidate feasible".into());
+    for i in first {
+        match evaluated[i]
+            .as_ref()
+            .expect("first occurrences are evaluated")
+        {
             Ok(out) => {
-                if best
-                    .as_ref()
-                    .map(|b| out.marginal_bps > b.marginal_bps + 1e-6)
-                    .unwrap_or(true)
-                {
-                    best = Some(out);
+                if winner.is_none_or(|b| out.marginal_bps > b.marginal_bps + 1e-6) {
+                    winner = Some(out);
                 }
             }
-            Err(e) => last_err = e,
+            Err(e) => last_err = e.clone(),
         }
     }
+    let mut best: Option<EvaluatedPlacement> = winner.cloned();
 
     // ---- Step 2b: single-offload hill climbing. "We can offload each
     // PISA switch NF (or combinations thereof) to the server to see if
@@ -213,7 +230,7 @@ pub fn place_with_workers(
         let trials = parallel_map(workers, &demotions, |_, &(ci, id, server)| {
             let mut trial = current.clone();
             trial[ci].insert(id, Platform::Server(server));
-            let result = problem.evaluate(&trial, strategy);
+            let result = evaluate(&trial);
             (trial, result)
         });
         for (trial, result) in trials {
@@ -239,12 +256,17 @@ pub fn place_with_workers(
 
     match best {
         Some(mut out) => {
-            // Re-query the oracle for the final stage count (candidates
-            // only removed switch NFs, so the placement still fits).
-            if let StageVerdict::Fits { stages: s } = oracle.check(problem, &out.assignment) {
-                stages = s;
-            }
-            out.stages_used = Some(stages);
+            // The final stage count: step 1's verdict when the baseline
+            // itself won, one more query otherwise (candidates only removed
+            // switch NFs, so the placement still fits).
+            out.stages_used = Some(if out.assignment == baseline {
+                stages
+            } else {
+                match oracle.check(problem, &out.assignment) {
+                    StageVerdict::Fits { stages: fewer } => fewer,
+                    StageVerdict::OutOfStages { .. } => stages,
+                }
+            });
             let cache = oracle
                 .cache_stats()
                 .unwrap_or_default()
@@ -254,8 +276,8 @@ pub fn place_with_workers(
                 cache_hits: cache.hits,
                 cache_misses: cache.misses,
                 lp_evals,
-                // The heuristic fully evaluates every candidate it
-                // generates; nothing is dropped pre-evaluation.
+                // Every distinct candidate is fully evaluated; nothing
+                // is dropped on a quick score.
                 pruned_candidates: 0,
             });
             Ok(out)
@@ -339,7 +361,12 @@ fn demotion_candidates(
 /// linear path (the `{A->B} -> C_p4 -> {D->E}` shape), decide whether to
 /// pull it down. *Strict* merges always apply; the rule parameter governs
 /// the remaining opportunities.
-fn coalesce(problem: &PlacementProblem, baseline: &Assignment, rule: CoalesceRule) -> Assignment {
+fn coalesce(
+    problem: &PlacementProblem,
+    shapes: &[ChainShape],
+    baseline: &Assignment,
+    rule: CoalesceRule,
+) -> Assignment {
     let mut assignment = baseline.clone();
     for (ci, chain) in problem.chains.iter().enumerate() {
         let g = &chain.graph;
@@ -347,7 +374,7 @@ fn coalesce(problem: &PlacementProblem, baseline: &Assignment, rule: CoalesceRul
             let n = g.node(id);
             problem.profiles.server_cycles(n.kind, &n.params)
         };
-        for lc in g.decompose() {
+        for lc in &shapes[ci].paths {
             // Maximal runs of switch NFs flanked by same-server NFs:
             // "offload each PISA switch NF (or combinations thereof)".
             let mut w = 1usize;
@@ -409,7 +436,7 @@ fn coalesce(problem: &PlacementProblem, baseline: &Assignment, rule: CoalesceRul
                             for id in &run {
                                 trial[ci].insert(*id, Platform::Server(server));
                             }
-                            t_min_satisfiable(problem, &trial)
+                            t_min_satisfiable(problem, shapes, &trial)
                         }
                     }
                     CoalesceRule::Conservative => {
@@ -430,11 +457,15 @@ fn coalesce(problem: &PlacementProblem, baseline: &Assignment, rule: CoalesceRul
 }
 
 /// Quick feasibility probe: can water-filling reach every `t_min`?
-fn t_min_satisfiable(problem: &PlacementProblem, assignment: &Assignment) -> bool {
+fn t_min_satisfiable(
+    problem: &PlacementProblem,
+    shapes: &[ChainShape],
+    assignment: &Assignment,
+) -> bool {
     if problem.check_capabilities(assignment).is_err() {
         return false;
     }
-    let mut sgs = problem.form_subgroups(assignment);
+    let mut sgs = problem.form_subgroups_shaped(shapes, assignment);
     crate::corealloc::allocate(problem, &mut sgs, CoreStrategy::WaterFill).is_ok()
 }
 
@@ -545,6 +576,44 @@ mod tests {
         assert_eq!(out.chain_rates_bps.len(), 4);
         for (i, r) in out.chain_rates_bps.iter().enumerate() {
             assert!(*r + 1.0 >= p.chains[i].slo.unwrap().t_min_bps, "chain {i}");
+        }
+    }
+
+    #[test]
+    fn serverless_rack_places_what_the_switch_holds_and_rejects_the_rest() {
+        use lemur_core::graph::NfGraph;
+        use lemur_nf::{NfKind, NfParams};
+        let mut g = NfGraph::new();
+        let acl = g.add(NfKind::Acl, NfParams::new());
+        let fwd = g.add(NfKind::Ipv4Fwd, NfParams::new());
+        g.connect(acl, fwd);
+        let chain = |name: &str, graph| ChainSpec {
+            name: name.to_string(),
+            graph,
+            slo: Some(Slo::elastic_pipe(1e9, 100e9)),
+            aggregate: None,
+        };
+        let rack =
+            |chains| PlacementProblem::new(chains, Topology::with_servers(0), NfProfiles::table4());
+
+        let p = rack(vec![chain("all-switch", g.clone())]);
+        let out = place(&p, &AlwaysFits).expect("the ToR alone serves an all-switch chain");
+        assert!(out.assignment[0].values().all(|pl| *pl == Platform::Pisa));
+        assert!(out.subgroups.is_empty());
+        assert!(out.chain_rates_bps[0] >= 1e9);
+        // The model entry points that read a server clock do not index
+        // one either.
+        assert_eq!(p.base_rate_bps(0), 0.0);
+        assert!(p.latencies_ns(&out.assignment)[0] > 0.0);
+
+        // Dedup has no switch implementation: chain 3 needs a server.
+        let needs_server = chain("needs-server", canonical_chain(CanonicalChain::Chain3));
+        for chains in [
+            vec![needs_server.clone()],
+            vec![chain("all-switch", g.clone()), needs_server],
+        ] {
+            let err = place(&rack(chains), &AlwaysFits).unwrap_err();
+            assert!(matches!(err, PlacementError::Infeasible(_)), "{err}");
         }
     }
 

@@ -11,10 +11,17 @@
 //!    actually solving the PoP's accumulated subproblem with the
 //!    single-rack heuristic — the subproblem *is* the oracle, so the
 //!    fleet level never admits a chain a rack cannot serve.
-//! 2. **Per-PoP subproblems** — the surviving chain set of each PoP is an
-//!    ordinary [`PlacementProblem`] solved by
+//! 2. **Per-PoP subproblems** — a PoP's chain set is an ordinary
+//!    [`PlacementProblem`] solved by
 //!    [`crate::heuristic::place_with_workers`], so worker-count
 //!    determinism and stage-oracle memoization carry over unchanged.
+//!
+//! What is solved when: [`seat_chains`] is the one seating loop and solves
+//! only the tentative sets it tries, so every PoP a candidate landed on
+//! comes back with the plan of its final set and every other PoP with no
+//! plan at all. Failover reads only where chains went and stops there.
+//! [`assign_chains`] additionally solves the non-empty PoPs no candidate
+//! landed on, for callers that deploy every PoP's plan.
 //!
 //! When aggregate fleet capacity is insufficient, the chains that find no
 //! seat are **shed in ascending priority order** — the same graceful-
@@ -44,7 +51,9 @@ pub struct PopPlan {
     /// Global chain indices served here, ascending.
     pub chains: Vec<usize>,
     /// The PoP-local subproblem (its chain `i` is global `chains[i]`).
-    /// `None` when the PoP serves nothing.
+    /// `None` when the PoP serves nothing, when its set was never solved
+    /// ([`seat_chains`] on a PoP no candidate landed on), or when the rack
+    /// cannot serve the set.
     pub problem: Option<PlacementProblem>,
     /// The solved subproblem, aligned with `problem`.
     pub placement: Option<EvaluatedPlacement>,
@@ -93,24 +102,26 @@ fn candidate_order(chains: &[ChainSpec], candidates: &[usize]) -> Vec<usize> {
     order
 }
 
-/// Solve one PoP's subproblem for a chain set; `Ok(None)` means the rack
+/// Solve PoP `pop`'s subproblem for a chain set; `None` means the rack
 /// cannot serve this set (infeasible or an SLO under water).
 fn solve_pop(
     chains: &[ChainSpec],
-    set: &[usize],
-    topology: &Topology,
+    pop: usize,
+    set: Vec<usize>,
+    pop_topologies: &[Topology],
     profiles: &NfProfiles,
     oracle: &dyn StageOracle,
     workers: Workers,
-) -> Option<(PlacementProblem, EvaluatedPlacement)> {
-    // A capacity-zero topology (e.g. a PoP fenced out of a failover
-    // search) can hold nothing; the placer itself assumes ≥1 core.
-    if topology.total_worker_cores() == 0 {
+) -> Option<PopPlan> {
+    // A capacity-zero topology is how callers fence a PoP out of a
+    // failover search: it holds nothing, not even the all-switch chains
+    // the placer would put on a server-less rack's ToR.
+    if pop_topologies[pop].total_worker_cores() == 0 {
         return None;
     }
     let sub = PlacementProblem::new(
         set.iter().map(|&c| chains[c].clone()).collect(),
-        topology.clone(),
+        pop_topologies[pop].clone(),
         profiles.clone(),
     );
     let placement = place_with_workers(&sub, oracle, CoreStrategy::WaterFill, workers).ok()?;
@@ -118,19 +129,24 @@ fn solve_pop(
         let t_min = slo_of(&chains[c]).t_min_bps;
         placement.chain_rates_bps[i] >= t_min * (1.0 - VALIDATION_TOL)
     });
-    feasible.then_some((sub, placement))
+    feasible.then_some(PopPlan {
+        pop,
+        chains: set,
+        problem: Some(sub),
+        placement: Some(placement),
+    })
 }
 
-/// Assign `candidates` to PoPs on top of chains already `locked` in
-/// place, re-solving each touched PoP's subproblem. This is the shared
-/// engine behind initial fleet placement and cross-PoP failover: at boot
-/// every chain is a candidate and nothing is locked; on failover the
-/// surviving PoPs' chains are locked and the drained PoP's chains are the
-/// candidates.
+/// Seat `candidates` on PoPs on top of chains already `locked` in place:
+/// the one greedy loop behind boot and failover. It solves exactly the
+/// tentative sets `(PoP, set ∪ {c})` it tries: a PoP that took a candidate
+/// carries the plan of its final set, a PoP that took none comes back
+/// with its locked set and no plan. A candidate that is already locked
+/// somewhere keeps that seat.
 ///
 /// Chains that fit nowhere are shed (never an error): an empty fleet
 /// placement is still an answer, just a fully-degraded one.
-pub fn assign_chains(
+pub fn seat_chains(
     chains: &[ChainSpec],
     pop_topologies: &[Topology],
     locked: &[Vec<usize>],
@@ -141,31 +157,26 @@ pub fn assign_chains(
 ) -> FleetPlacement {
     assert_eq!(locked.len(), pop_topologies.len(), "one locked set per PoP");
     let n_pops = pop_topologies.len();
-    let mut sets: Vec<Vec<usize>> = locked.to_vec();
-    for set in &mut sets {
-        set.sort_unstable();
-    }
-    // Cache of each PoP's current solved subproblem, refreshed whenever a
-    // chain lands there.
-    let mut solved: Vec<Option<(PlacementProblem, EvaluatedPlacement)>> = (0..n_pops)
-        .map(|p| {
-            if sets[p].is_empty() {
-                None
-            } else {
-                solve_pop(
-                    chains,
-                    &sets[p],
-                    &pop_topologies[p],
-                    profiles,
-                    oracle,
-                    workers,
-                )
-            }
+    let mut pops: Vec<PopPlan> = (0..n_pops)
+        .map(|pop| PopPlan {
+            pop,
+            chains: locked[pop].clone(),
+            problem: None,
+            placement: None,
         })
         .collect();
+    for plan in &mut pops {
+        plan.chains.sort_unstable();
+    }
+    let mut fp = FleetPlacement {
+        pops,
+        shed: Vec::new(),
+    };
 
-    let mut shed: Vec<usize> = Vec::new();
     for c in candidate_order(chains, candidates) {
+        if fp.home_of(c).is_some() {
+            continue;
+        }
         // Least-loaded PoPs first: committed t_min per worker core, ties
         // toward the lower index. Recomputed per candidate so the greedy
         // level balances as it goes.
@@ -173,8 +184,11 @@ pub fn assign_chains(
             .filter(|&p| pop_topologies[p].total_worker_cores() > 0)
             .collect();
         let load = |p: usize| -> f64 {
-            let committed: f64 = sets[p].iter().map(|&i| slo_of(&chains[i]).t_min_bps).sum();
-            committed / pop_topologies[p].total_worker_cores() as f64
+            let committed = fp.pops[p]
+                .chains
+                .iter()
+                .map(|&i| slo_of(&chains[i]).t_min_bps);
+            committed.sum::<f64>() / pop_topologies[p].total_worker_cores() as f64
         };
         by_load.sort_by(|&a, &b| {
             load(a)
@@ -183,53 +197,78 @@ pub fn assign_chains(
                 .then(a.cmp(&b))
         });
 
-        let mut seated = false;
-        for p in by_load {
-            let mut tentative = sets[p].clone();
-            let at = tentative.binary_search(&c).unwrap_or_else(|i| i);
-            tentative.insert(at, c);
-            if let Some(ok) = solve_pop(
+        let seat = by_load.into_iter().find_map(|p| {
+            let mut tentative = fp.pops[p].chains.clone();
+            tentative.insert(tentative.partition_point(|&x| x < c), c);
+            solve_pop(
                 chains,
-                &tentative,
-                &pop_topologies[p],
+                p,
+                tentative,
+                pop_topologies,
                 profiles,
                 oracle,
                 workers,
-            ) {
-                sets[p] = tentative;
-                solved[p] = Some(ok);
-                seated = true;
-                break;
+            )
+        });
+        match seat {
+            Some(plan) => {
+                let home = plan.pop;
+                fp.pops[home] = plan;
             }
-        }
-        if !seated {
-            shed.push(c);
+            None => fp.shed.push(c),
         }
     }
 
     // Shedding order for the report: ascending priority, smaller t_min
     // first, then index — the reverse of the seating order.
-    shed.reverse();
+    fp.shed.reverse();
+    fp
+}
 
-    let pops = (0..n_pops)
-        .map(|p| {
-            let (problem, placement) = match solved[p].take() {
-                Some((pr, pl)) => (Some(pr), Some(pl)),
-                None => (None, None),
-            };
-            PopPlan {
-                pop: p,
-                chains: sets[p].clone(),
-                problem,
-                placement,
+/// [`seat_chains`], then a solve of every non-empty PoP no candidate
+/// landed on (its plan stays `None` if the rack cannot serve the set).
+/// Boot locks nothing and failover only asks where chains went; this is
+/// for callers that deploy every PoP's plan, such as post-storm validation.
+pub fn assign_chains(
+    chains: &[ChainSpec],
+    pop_topologies: &[Topology],
+    locked: &[Vec<usize>],
+    candidates: &[usize],
+    profiles: &NfProfiles,
+    oracle: &dyn StageOracle,
+    workers: Workers,
+) -> FleetPlacement {
+    let mut fp = seat_chains(
+        chains,
+        pop_topologies,
+        locked,
+        candidates,
+        profiles,
+        oracle,
+        workers,
+    );
+    for plan in &mut fp.pops {
+        if plan.placement.is_none() && !plan.chains.is_empty() {
+            let set = plan.chains.clone();
+            if let Some(solved) = solve_pop(
+                chains,
+                plan.pop,
+                set,
+                pop_topologies,
+                profiles,
+                oracle,
+                workers,
+            ) {
+                *plan = solved;
             }
-        })
-        .collect();
-    FleetPlacement { pops, shed }
+        }
+    }
+    fp
 }
 
 /// Place a whole chain catalog onto a fleet of PoPs from scratch — the
-/// hierarchical entry point. See [`assign_chains`] for the semantics.
+/// hierarchical entry point. Nothing is locked, so every PoP that serves
+/// anything took a candidate and [`seat_chains`] already holds its plan.
 pub fn place_fleet(
     chains: &[ChainSpec],
     pop_topologies: &[Topology],
@@ -239,7 +278,7 @@ pub fn place_fleet(
 ) -> FleetPlacement {
     let all: Vec<usize> = (0..chains.len()).collect();
     let locked = vec![Vec::new(); pop_topologies.len()];
-    assign_chains(
+    seat_chains(
         chains,
         pop_topologies,
         &locked,
@@ -363,6 +402,109 @@ mod tests {
             let shed = after.shed.contains(&c);
             assert!(homed ^ shed, "chain {c} must fail over or shed, not both");
         }
+    }
+
+    #[test]
+    fn a_candidate_that_is_already_locked_keeps_its_one_seat() {
+        // Chain 1 is both locked at PoP 1 and offered. It must not be
+        // seated a second time — not beside itself at PoP 1 (which solved
+        // the PoP with double demand) and not at the emptier PoP 0.
+        let chains = catalog(3, 1e9);
+        let pops = vec![Topology::with_servers(2), Topology::with_servers(2)];
+        let locked = vec![Vec::new(), vec![1]];
+        let fp = assign_chains(
+            &chains,
+            &pops,
+            &locked,
+            &[0, 1, 2],
+            &NfProfiles::table4(),
+            &AlwaysFits,
+            Workers::new(1),
+        );
+        assert!(
+            fp.pops[1].chains.contains(&1),
+            "locked chain keeps its seat"
+        );
+        let mut seen = vec![0usize; chains.len()];
+        for &c in fp.pops.iter().flat_map(|p| &p.chains).chain(&fp.shed) {
+            seen[c] += 1;
+        }
+        assert_eq!(seen, vec![1, 1, 1], "ownership must partition");
+        for plan in &fp.pops {
+            let problem = plan.problem.as_ref().expect("both PoPs serve something");
+            assert_eq!(problem.chains.len(), plan.chains.len());
+        }
+    }
+
+    /// Records the server count of every rack it is asked about.
+    struct RackLog(std::sync::Mutex<Vec<usize>>);
+
+    impl StageOracle for RackLog {
+        fn check(
+            &self,
+            problem: &PlacementProblem,
+            _: &crate::placement::Assignment,
+        ) -> crate::oracle::StageVerdict {
+            let mut log = self.0.lock().expect("no panic while logging");
+            log.push(problem.topology.servers.len());
+            crate::oracle::StageVerdict::Fits { stages: 1 }
+        }
+    }
+
+    #[test]
+    fn failover_seating_checks_no_pop_that_was_offered_nothing() {
+        // PoP 0 is drained; its one chain fits at PoP 1, the emptier
+        // survivor, so PoP 2 is never offered anything. Racks are told
+        // apart by their server counts.
+        let mut chains = catalog(4, 1e9);
+        chains[3].slo = Some(Slo::elastic_pipe(3e9, 100e9));
+        let pops = vec![
+            Topology::with_servers(0),
+            Topology::with_servers(2),
+            Topology::with_servers(3),
+        ];
+        let locked = vec![Vec::new(), vec![1], vec![2, 3]];
+        let seat = |oracle: &RackLog| {
+            let profiles = NfProfiles::table4();
+            seat_chains(
+                &chains,
+                &pops,
+                &locked,
+                &[0],
+                &profiles,
+                oracle,
+                Workers::new(1),
+            )
+        };
+        let log = RackLog(Default::default());
+        let fp = seat(&log);
+        assert_eq!(fp.home_of(0), Some(1));
+        assert!(
+            fp.pops[1].placement.is_some(),
+            "the touched PoP has its plan"
+        );
+        assert!(
+            fp.pops[2].placement.is_none(),
+            "the untouched PoP was not solved"
+        );
+        let asked = log.0.into_inner().unwrap();
+        assert!(asked.contains(&2), "PoP 1's tentative set was checked");
+        assert!(!asked.contains(&3), "PoP 2 was offered nothing: {asked:?}");
+
+        // `assign_chains` is the entry point that solves PoP 2 as well.
+        let log = RackLog(Default::default());
+        let profiles = NfProfiles::table4();
+        let full = assign_chains(
+            &chains,
+            &pops,
+            &locked,
+            &[0],
+            &profiles,
+            &log,
+            Workers::new(1),
+        );
+        assert!(full.pops[2].placement.is_some());
+        assert!(log.0.into_inner().unwrap().contains(&3));
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod repair;
 pub mod topology;
 
 pub use cache::{CacheStats, StageCache};
-pub use hierarchy::{assign_chains, place_fleet, FleetPlacement, PopPlan};
+pub use hierarchy::{assign_chains, place_fleet, seat_chains, FleetPlacement, PopPlan};
 pub use oracle::{CountingOracle, ModelOracle, StageOracle};
 pub use parallel::{parallel_flat_map, parallel_map, Workers};
 pub use placement::{Assignment, EvaluatedPlacement, PlacementError, PlacementProblem};

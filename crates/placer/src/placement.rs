@@ -10,7 +10,7 @@ use crate::corealloc::{self, CoreStrategy};
 use crate::profiles::{is_replicable, NfProfiles, Platform};
 use crate::topology::{Topology, Tor};
 use crate::{NSH_OVERHEAD_CYCLES, PACKET_BITS, REPLICATION_OVERHEAD_CYCLES};
-use lemur_core::graph::{ChainSpec, LinearChain, NodeId};
+use lemur_core::graph::{ChainSpec, LinearChain, NfGraph, NodeId};
 use lemur_lp::{Problem, Relation};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -184,6 +184,53 @@ pub struct EvaluatedPlacement {
     pub telemetry: Option<SearchTelemetry>,
 }
 
+/// What evaluating an assignment reads from one chain's graph and the
+/// assignment cannot change. A search derives it once
+/// ([`PlacementProblem::shapes`]) and evaluates every candidate against
+/// it; the public one-shot entry points build it for their one call.
+#[derive(Debug, Clone)]
+pub(crate) struct ChainShape {
+    /// The weighted source→sink paths ([`NfGraph::decompose`]).
+    pub(crate) paths: Vec<LinearChain>,
+    /// Traffic fraction through each node, by `NodeId.0`.
+    fractions: Vec<f64>,
+    /// Topological node order.
+    order: Vec<NodeId>,
+    /// Per edge of `graph.edges()`: the only way out of its tail and the
+    /// only way into its head, so the two may share a subgroup.
+    linear_edge: Vec<bool>,
+    /// Per node: neither a branch nor a merge point.
+    inline: Vec<bool>,
+    /// The chain's rate variable in the LP.
+    rate_var: String,
+}
+
+impl ChainShape {
+    fn of(ci: usize, g: &NfGraph) -> ChainShape {
+        let paths = g.decompose();
+        let mut fractions = vec![0.0; g.num_nodes()];
+        for lc in &paths {
+            for n in &lc.nodes {
+                fractions[n.0] += lc.weight;
+            }
+        }
+        ChainShape {
+            paths,
+            fractions,
+            order: g.topo_order().expect("validated"),
+            linear_edge: g
+                .edges()
+                .iter()
+                .map(|e| g.out_degree(e.from) == 1 && g.in_degree(e.to) == 1)
+                .collect(),
+            inline: (0..g.num_nodes())
+                .map(|n| !g.is_branch(NodeId(n)) && !g.is_merge(NodeId(n)))
+                .collect(),
+            rate_var: format!("r{ci}"),
+        }
+    }
+}
+
 /// The placement problem: chains + topology + profiles.
 #[derive(Debug, Clone)]
 pub struct PlacementProblem {
@@ -222,19 +269,23 @@ impl PlacementProblem {
         })
     }
 
-    /// Traffic fraction through each node of a chain.
-    pub fn node_fractions(&self, chain: usize) -> HashMap<NodeId, f64> {
-        node_fractions(&self.chains[chain].graph.decompose())
+    /// One [`ChainShape`] per chain, index-aligned with `chains`.
+    pub(crate) fn shapes(&self) -> Vec<ChainShape> {
+        let graphs = self.chains.iter().map(|c| &c.graph);
+        graphs
+            .enumerate()
+            .map(|(ci, g)| ChainShape::of(ci, g))
+            .collect()
     }
 
     /// The chain's *base rate* (§5.1): the rate with one core on the
     /// slowest software NF. Used to derive the δ-scaled `t_min` sweeps.
+    /// Zero on a rack without servers, where no software NF runs at all.
     pub fn base_rate_bps(&self, chain: usize) -> f64 {
-        let clock = self.topology.servers[0].clock_hz;
-        let fractions = self.node_fractions(chain);
-        self.chains[chain]
-            .graph
-            .nodes()
+        let clock = self.server_clock_hz();
+        let g = &self.chains[chain].graph;
+        let shape = ChainShape::of(chain, g);
+        g.nodes()
             .filter(|(_, n)| {
                 self.profiles
                     .capabilities(n.kind)
@@ -243,9 +294,15 @@ impl PlacementProblem {
             .map(|(id, n)| {
                 let cycles = self.profiles.server_cycles(n.kind, &n.params) + NSH_OVERHEAD_CYCLES;
                 let pps = clock / cycles;
-                pps * PACKET_BITS / fractions.get(&id).copied().unwrap_or(1.0).max(1e-12)
+                pps * PACKET_BITS / shape.fractions[id.0].max(1e-12)
             })
             .fold(f64::INFINITY, f64::min)
+    }
+
+    /// The clock the rate and latency models assume for software NFs
+    /// (server 0's; 0 Hz when the rack has no server).
+    fn server_clock_hz(&self) -> f64 {
+        self.topology.servers.first().map_or(0.0, |s| s.clock_hz)
     }
 
     /// Check assignment capabilities (every chain assigned, every node on a
@@ -275,6 +332,12 @@ impl PlacementProblem {
                     node.name
                 )));
             };
+            if matches!(platform, Platform::Server(_)) && self.topology.servers.is_empty() {
+                return Err(PlacementError::Infeasible(format!(
+                    "chain {ci}: {} needs a server and the rack has none",
+                    node.name
+                )));
+            }
             let ok = self
                 .profiles
                 .capabilities(node.kind)
@@ -300,25 +363,34 @@ impl PlacementProblem {
     /// same-server nodes joined across purely linear edges (§3.2). Emitted
     /// chain by chain.
     pub fn form_subgroups(&self, assignment: &Assignment) -> Vec<SubgroupPlan> {
-        let mut out = Vec::new();
-        for (ci, placed) in assignment.iter().enumerate().take(self.chains.len()) {
-            out.extend(self.chain_subgroups(ci, placed, &self.node_fractions(ci)));
-        }
-        out
+        self.form_subgroups_shaped(&self.shapes(), assignment)
     }
 
-    /// [`Self::form_subgroups`] for chain `ci` alone, given the chain's
-    /// [`Self::node_fractions`]. A chain's subgroups depend on no other
-    /// chain's placement.
+    /// [`Self::form_subgroups`] against the problem's [`Self::shapes`].
+    pub(crate) fn form_subgroups_shaped(
+        &self,
+        shapes: &[ChainShape],
+        assignment: &Assignment,
+    ) -> Vec<SubgroupPlan> {
+        let per_chain = assignment.iter().zip(shapes).enumerate();
+        per_chain
+            .flat_map(|(ci, (placed, shape))| self.chain_subgroups(ci, placed, shape))
+            .collect()
+    }
+
+    /// [`Self::form_subgroups`] for chain `ci` alone. A chain's subgroups
+    /// depend on no other chain's placement.
     pub(crate) fn chain_subgroups(
         &self,
         ci: usize,
         placed: &BTreeMap<NodeId, Platform>,
-        fractions: &HashMap<NodeId, f64>,
+        shape: &ChainShape,
     ) -> Vec<SubgroupPlan> {
-        let mut out = Vec::new();
         let g = &self.chains[ci].graph;
-        let order = g.topo_order().expect("validated");
+        let server_of = |id: &NodeId| match placed.get(id) {
+            Some(Platform::Server(s)) => Some(*s),
+            _ => None,
+        };
         // Union-find over nodes.
         let n = g.num_nodes();
         let mut parent: Vec<usize> = (0..n).collect();
@@ -329,56 +401,49 @@ impl PlacementProblem {
             }
             p[x]
         }
-        for e in g.edges() {
-            let pf = placed.get(&e.from);
-            let pt = placed.get(&e.to);
-            if let (Some(Platform::Server(a)), Some(Platform::Server(b))) = (pf, pt) {
-                if a == b && g.out_edges(e.from).len() == 1 && g.in_degree(e.to) == 1 {
-                    let ra = find(&mut parent, e.from.0);
-                    let rb = find(&mut parent, e.to.0);
-                    parent[ra] = rb;
-                }
+        for (e, linear) in g.edges().iter().zip(&shape.linear_edge) {
+            let (from, to) = (server_of(&e.from), server_of(&e.to));
+            if *linear && from.is_some() && from == to {
+                let ra = find(&mut parent, e.from.0);
+                let rb = find(&mut parent, e.to.0);
+                parent[ra] = rb;
             }
         }
-        // Collect groups in topo order.
-        let mut groups: HashMap<usize, Vec<NodeId>> = HashMap::new();
-        for id in &order {
-            if let Some(Platform::Server(_)) = placed.get(id) {
+        // Collect groups in topo order, then order them by first member.
+        let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        for id in &shape.order {
+            if server_of(id).is_some() {
                 let root = find(&mut parent, id.0);
-                groups.entry(root).or_default().push(*id);
+                groups[root].push(*id);
             }
         }
-        let mut roots: Vec<usize> = groups.keys().copied().collect();
-        roots.sort_by_key(|r| groups[r][0].0);
-        for root in roots {
-            let nodes = groups.remove(&root).unwrap();
-            let Platform::Server(server) = placed[&nodes[0]] else {
-                unreachable!()
-            };
-            let cycles: f64 = nodes
-                .iter()
-                .map(|id| {
-                    let node = g.node(*id);
-                    self.profiles.server_cycles(node.kind, &node.params)
-                })
-                .sum::<f64>()
-                + NSH_OVERHEAD_CYCLES;
-            let replicable = nodes.iter().all(|id| {
-                let node = g.node(*id);
-                is_replicable(node.kind) && !g.is_branch(*id) && !g.is_merge(*id)
-            });
-            let fraction = fractions.get(&nodes[0]).copied().unwrap_or(1.0);
-            out.push(SubgroupPlan {
-                chain: ci,
-                server,
-                nodes,
-                cycles,
-                fraction,
-                replicable,
-                cores: 1,
-            });
-        }
-        out
+        groups.retain(|nodes| !nodes.is_empty());
+        groups.sort_by_key(|nodes| nodes[0].0);
+        groups
+            .into_iter()
+            .map(|nodes| {
+                let cycles: f64 = nodes
+                    .iter()
+                    .map(|id| {
+                        let node = g.node(*id);
+                        self.profiles.server_cycles(node.kind, &node.params)
+                    })
+                    .sum::<f64>()
+                    + NSH_OVERHEAD_CYCLES;
+                let replicable = nodes
+                    .iter()
+                    .all(|id| is_replicable(g.node(*id).kind) && shape.inline[id.0]);
+                SubgroupPlan {
+                    chain: ci,
+                    server: server_of(&nodes[0]).expect("grouped nodes sit on a server"),
+                    fraction: shape.fractions[nodes[0].0],
+                    nodes,
+                    cycles,
+                    replicable,
+                    cores: 1,
+                }
+            })
+            .collect()
     }
 
     /// Per-chain, per-server weighted visit counts (maximal server
@@ -412,7 +477,7 @@ impl PlacementProblem {
     }
 
     /// [`Self::latencies_ns`] for one chain, over its decomposed `paths`.
-    fn chain_latency_ns(
+    pub(crate) fn chain_latency_ns(
         &self,
         chain: &ChainSpec,
         placed: &BTreeMap<NodeId, Platform>,
@@ -422,7 +487,7 @@ impl PlacementProblem {
             Tor::Pisa(m) => m.pipeline_latency_ns(m.num_stages),
             Tor::OpenFlow { .. } => 1_000.0,
         };
-        let clock = self.topology.servers[0].clock_hz;
+        let clock = self.server_clock_hz();
         paths
             .iter()
             .map(|lc| {
@@ -475,7 +540,7 @@ impl PlacementProblem {
         assignment: &Assignment,
         strategy: CoreStrategy,
     ) -> Result<EvaluatedPlacement, PlacementError> {
-        self.evaluate_inner(assignment, Alloc::Strategy(strategy))
+        self.evaluate_shaped(&self.shapes(), assignment, Alloc::Strategy(strategy))
     }
 
     /// Re-evaluate an assignment with a *fixed* per-subgroup core vector
@@ -487,24 +552,23 @@ impl PlacementProblem {
         assignment: &Assignment,
         cores: &[usize],
     ) -> Result<EvaluatedPlacement, PlacementError> {
-        self.evaluate_inner(assignment, Alloc::Fixed(cores))
+        self.evaluate_shaped(&self.shapes(), assignment, Alloc::Fixed(cores))
     }
 
-    fn evaluate_inner(
+    /// [`Self::evaluate`] against the problem's [`Self::shapes`], for
+    /// searches that evaluate many assignments of one problem.
+    pub(crate) fn evaluate_shaped(
         &self,
+        shapes: &[ChainShape],
         assignment: &Assignment,
         alloc: Alloc<'_>,
     ) -> Result<EvaluatedPlacement, PlacementError> {
         self.check_capabilities(assignment)?;
-        // Every per-path quantity below reads the same decomposition.
-        let paths: Vec<Vec<LinearChain>> =
-            self.chains.iter().map(|c| c.graph.decompose()).collect();
-        let fractions: Vec<_> = paths.iter().map(|p| node_fractions(p)).collect();
 
         // OpenFlow table-order validation (§5.3).
         if matches!(self.topology.tor, Tor::OpenFlow { .. }) {
             for (ci, chain) in self.chains.iter().enumerate() {
-                for lc in &paths[ci] {
+                for lc in &shapes[ci].paths {
                     let seq: Vec<_> = lc
                         .nodes
                         .iter()
@@ -518,9 +582,7 @@ impl PlacementProblem {
             }
         }
 
-        let mut subgroups: Vec<SubgroupPlan> = (0..self.chains.len())
-            .flat_map(|ci| self.chain_subgroups(ci, &assignment[ci], &fractions[ci]))
-            .collect();
+        let mut subgroups = self.form_subgroups_shaped(shapes, assignment);
 
         // SmartNIC NFs.
         let mut nic_nfs = Vec::new();
@@ -540,7 +602,7 @@ impl PlacementProblem {
                         node: id,
                         nic: *nic,
                         cycles,
-                        fraction: fractions[ci].get(&id).copied().unwrap_or(1.0),
+                        fraction: shapes[ci].fractions[id.0],
                     });
                 }
             }
@@ -562,9 +624,9 @@ impl PlacementProblem {
         }
 
         // Latency check (before the LP: latency is rate-independent here).
-        let per_chain = || self.chains.iter().zip(assignment).zip(&paths);
+        let per_chain = || self.chains.iter().zip(assignment).zip(shapes);
         let latency_ns: Vec<f64> = per_chain()
-            .map(|((chain, placed), paths)| self.chain_latency_ns(chain, placed, paths))
+            .map(|((chain, placed), shape)| self.chain_latency_ns(chain, placed, &shape.paths))
             .collect();
         for (ci, chain) in self.chains.iter().enumerate() {
             if let Some(slo) = &chain.slo {
@@ -582,7 +644,7 @@ impl PlacementProblem {
 
         // The marginal-throughput LP.
         let visits: Vec<_> = per_chain()
-            .map(|((_, placed), paths)| server_visits(placed, paths))
+            .map(|((_, placed), shape)| server_visits(placed, &shape.paths))
             .collect();
         let tor_rate = match &self.topology.tor {
             Tor::Pisa(m) => m.port_rate_bps,
@@ -598,7 +660,7 @@ impl PlacementProblem {
                     "chain {ci}: t_min above port rate"
                 )));
             }
-            vars.push(lp.add_var(&format!("r{ci}"), slo.t_min_bps, hi, 1.0));
+            vars.push(lp.add_var(&shapes[ci].rate_var, slo.t_min_bps, hi, 1.0));
         }
         let clock0 = |s: usize| self.topology.servers[s].clock_hz;
         for sg in &subgroups {
@@ -651,24 +713,13 @@ impl PlacementProblem {
             aggregate_bps,
             marginal_bps,
             bounces: per_chain()
-                .map(|((_, placed), paths)| bounce_count(placed, paths))
+                .map(|((_, placed), shape)| bounce_count(placed, &shape.paths))
                 .collect(),
             latency_ns,
             stages_used: None,
             telemetry: None,
         })
     }
-}
-
-/// Traffic fraction through each node, from a chain's decomposed paths.
-fn node_fractions(paths: &[LinearChain]) -> HashMap<NodeId, f64> {
-    let mut f: HashMap<NodeId, f64> = HashMap::new();
-    for lc in paths {
-        for n in &lc.nodes {
-            *f.entry(*n).or_insert(0.0) += lc.weight;
-        }
-    }
-    f
 }
 
 /// One chain's [`PlacementProblem::server_visits`].
@@ -718,7 +769,7 @@ fn bounce_count(placed: &BTreeMap<NodeId, Platform>, paths: &[LinearChain]) -> f
 }
 
 /// How cores are chosen during evaluation.
-enum Alloc<'a> {
+pub(crate) enum Alloc<'a> {
     Strategy(CoreStrategy),
     Fixed(&'a [usize]),
 }
