@@ -7,7 +7,7 @@ use lemur_core::chains::{extreme_nat_chain, CanonicalChain::*};
 use lemur_core::graph::ChainSpec;
 use lemur_core::Slo;
 use lemur_metacompiler::{p4gen, routing};
-use lemur_p4sim::compiler::{compile, estimate_conservative, CompileOptions};
+use lemur_p4sim::compiler::{compile, dependency_depth, estimate_conservative, CompileOptions};
 use lemur_p4sim::PisaModel;
 use lemur_placer::oracle::StageOracle;
 use lemur_placer::placement::PlacementProblem;
@@ -73,7 +73,7 @@ fn bench_synthesis(c: &mut Criterion) {
 fn bench_set_a(c: &mut Criterion) {
     // Figure-2 set a under the HW-preferred placement: what one stage
     // oracle call costs (routing plan + synthesis + stage packing), and
-    // the synthesis share of it.
+    // the synthesis and dependency-analysis shares of it.
     let (p, _) =
         lemur_bench::build_problem(&[Chain1, Chain2, Chain3, Chain4], 1.0, Topology::testbed());
     let a = lemur_placer::baselines::hw_preferred_assignment(&p);
@@ -82,6 +82,15 @@ fn bench_set_a(c: &mut Criterion) {
             let plan = routing::plan(&p, &a);
             p4gen::synthesize(&p, &a, &plan, p4gen::P4GenOptions::default()).unwrap()
         });
+    });
+    // Dependency analysis alone on that program: the part of stage packing
+    // that grows with the square of the table count.
+    let plan = routing::plan(&p, &a);
+    let program = p4gen::synthesize(&p, &a, &plan, p4gen::P4GenOptions::default())
+        .unwrap()
+        .program;
+    c.bench_function("analyze_set_a", |b| {
+        b.iter(|| dependency_depth(&program, &CompileOptions::default()));
     });
     let oracle = lemur_bench::compiler_oracle();
     c.bench_function("oracle_check_set_a", |b| {

@@ -112,6 +112,36 @@ fn bench_lp(c: &mut Criterion) {
     });
 }
 
+fn bench_corealloc(c: &mut Criterion) {
+    // Core allocation as the beam calls it on Figure-2 set a: 1 024
+    // subgroup lists (a 64-wide beam × 16 table entries) that differ in
+    // one chain's pattern, water-filled one after another through one
+    // reused buffer.
+    let (p, _) = build_problem(&[Chain1, Chain2, Chain3, Chain4], 1.0, Topology::testbed());
+    let patterns = lemur_placer::brute::per_chain_patterns(&p, 16);
+    let mut stream: Vec<_> = (0..1024usize)
+        .map(|k| {
+            let per_chain = patterns.iter().enumerate();
+            let assignment = per_chain
+                .map(|(ci, pats)| {
+                    lemur_placer::brute::materialize(&pats[(k >> (2 * ci)) % pats.len()], 0)
+                })
+                .collect();
+            p.form_subgroups(&assignment)
+        })
+        .collect();
+    let mut buffer = lemur_placer::corealloc::AllocBuffer::default();
+    c.bench_function("corealloc_allocate_set_a", |b| {
+        b.iter(|| {
+            let feasible = stream.iter_mut().filter_map(|subgroups| {
+                let strategy = lemur_placer::corealloc::CoreStrategy::WaterFill;
+                lemur_placer::corealloc::allocate_with(&p, subgroups, strategy, &mut buffer).ok()
+            });
+            feasible.count()
+        });
+    });
+}
+
 fn bench_fleet_failover(c: &mut Criterion) {
     // The coordinator's failover path, placement only: boot the canonical
     // four-PoP fleet, drain PoP 0, re-seat its chains with the survivors'
@@ -155,6 +185,6 @@ fn quick_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick_config();
-    targets = bench_heuristic, bench_brute, bench_brute_expand, bench_brute_cached, bench_stage_oracle, bench_lp, bench_fleet_failover
+    targets = bench_heuristic, bench_brute, bench_brute_expand, bench_brute_cached, bench_stage_oracle, bench_lp, bench_corealloc, bench_fleet_failover
 }
 criterion_main!(benches);

@@ -10,9 +10,9 @@
 //! first-fit packing place parallel branches into the same stages — the
 //! effect the meta-compiler's dependency-elimination optimizations unlock.
 
-use crate::ir::{CmpOp, Control, FieldRef, P4Program, ProgramError, Table, TableId};
+use crate::ir::{CmpOp, Control, FieldRef, P4Program, Primitive, ProgramError, Table, TableId};
 use crate::resources::PisaModel;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Why compilation failed.
@@ -83,10 +83,11 @@ pub struct StageAssignment {
     pub latency_ns: f64,
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 struct DependencyGraph {
-    /// preds[t] = tables that must be in strictly earlier stages.
-    preds: HashMap<TableId, BTreeSet<TableId>>,
+    /// `preds[t.0]` = tables that must be in strictly earlier stages than
+    /// `t`, in control order. Empty for a table the control never applies.
+    preds: Vec<Vec<TableId>>,
     /// Tables in control order.
     order: Vec<TableId>,
 }
@@ -110,46 +111,102 @@ enum Dep {
     Structure,
 }
 
-/// Metadata registers live in the PHV, not the packet; everything else is
-/// located by parsing the packet and moves when headers are pushed/popped.
-fn is_packet_field(f: FieldRef) -> bool {
-    !matches!(f, FieldRef::Meta(_))
+/// Header fields (every [`FieldRef`] without a payload).
+const HEADER_FIELDS: usize = 12;
+/// First bit of the 256 flow-hash salts in a [`DepSet`].
+const FLOW_HASH_BASE: usize = HEADER_FIELDS;
+/// First bit of the 256 metadata registers; every packet-resident field
+/// sits below it.
+const META_BASE: usize = FLOW_HASH_BASE + 256;
+/// First bit of the three effect tokens.
+const EFFECT_BASE: usize = META_BASE + 256;
+/// How many distinct [`Dep`] tokens exist.
+const DEP_TOKENS: usize = EFFECT_BASE + 3;
+
+impl Dep {
+    /// The token's bit in a [`DepSet`]: distinct tokens, distinct bits.
+    fn bit(self) -> usize {
+        match self {
+            Dep::Field(f) => match f {
+                FieldRef::EthSrc => 0,
+                FieldRef::EthDst => 1,
+                FieldRef::EtherType => 2,
+                FieldRef::VlanVid => 3,
+                FieldRef::Ipv4Src => 4,
+                FieldRef::Ipv4Dst => 5,
+                FieldRef::Ipv4Proto => 6,
+                FieldRef::Ipv4Ttl => 7,
+                FieldRef::L4Sport => 8,
+                FieldRef::L4Dport => 9,
+                FieldRef::NshSpi => 10,
+                FieldRef::NshSi => 11,
+                FieldRef::FlowHash(salt) => FLOW_HASH_BASE + salt as usize,
+                FieldRef::Meta(n) => META_BASE + n as usize,
+            },
+            Dep::Egress => EFFECT_BASE,
+            Dep::DropFlag => EFFECT_BASE + 1,
+            Dep::Structure => EFFECT_BASE + 2,
+        }
+    }
+}
+
+/// A set of dependency tokens, one bit each: testing two sets for a common
+/// token is nine ANDs, and extending a guard set for a branch copies nine
+/// words.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct DepSet([u64; DEP_TOKENS.div_ceil(64)]);
+
+impl DepSet {
+    fn insert(&mut self, dep: Dep) {
+        let bit = dep.bit();
+        self.0[bit / 64] |= 1 << (bit % 64);
+    }
+
+    fn intersects(&self, other: &DepSet) -> bool {
+        let common = self
+            .0
+            .iter()
+            .zip(&other.0)
+            .fold(0, |acc, (a, b)| acc | (a & b));
+        common != 0
+    }
+
+    /// Does the set hold a packet-resident field? Metadata registers live
+    /// in the PHV, not the packet; everything else is located by parsing
+    /// the packet and moves when headers are pushed/popped.
+    fn has_packet_field(&self) -> bool {
+        let (whole, part) = (META_BASE / 64, META_BASE % 64);
+        self.0[..whole].iter().any(|w| *w != 0) || self.0[whole] & ((1 << part) - 1) != 0
+    }
 }
 
 /// The read/write dependency-token sets of one table (keys + guard fields,
 /// action writes, plus effect tokens when `effect_deps` is on).
-fn table_dep_sets(
-    table: &Table,
-    guards: &BTreeSet<FieldRef>,
-    effect_deps: bool,
-) -> (BTreeSet<Dep>, BTreeSet<Dep>) {
-    let key_fields = table.read_fields();
-    let written = table.written_fields();
-    let mut reads: BTreeSet<Dep> = key_fields.iter().map(|f| Dep::Field(*f)).collect();
-    reads.extend(guards.iter().map(|f| Dep::Field(*f)));
-    let mut writes: BTreeSet<Dep> = written.iter().map(|f| Dep::Field(*f)).collect();
+fn table_dep_sets(table: &Table, guards: DepSet, effect_deps: bool) -> (DepSet, DepSet) {
+    let mut reads = guards;
+    for (field, _) in &table.keys {
+        reads.insert(Dep::Field(*field));
+    }
+    let mut writes = DepSet::default();
+    let primitives = || table.actions.iter().flat_map(|a| &a.primitives);
+    for field in primitives().filter_map(Primitive::written_field) {
+        writes.insert(Dep::Field(field));
+    }
     if effect_deps {
-        reads.insert(Dep::DropFlag);
-        let touches_packet = key_fields
-            .iter()
-            .chain(written.iter())
-            .chain(guards.iter())
-            .any(|f| is_packet_field(*f));
-        if touches_packet {
+        if reads.has_packet_field() || writes.has_packet_field() {
             reads.insert(Dep::Structure);
         }
-        for action in &table.actions {
-            for p in &action.primitives {
-                if p.can_drop() {
-                    writes.insert(Dep::DropFlag);
-                }
-                if p.sets_egress() {
-                    writes.insert(Dep::Egress);
-                }
-                if p.restructures() {
-                    reads.insert(Dep::Structure);
-                    writes.insert(Dep::Structure);
-                }
+        reads.insert(Dep::DropFlag);
+        for p in primitives() {
+            if p.can_drop() {
+                writes.insert(Dep::DropFlag);
+            }
+            if p.sets_egress() {
+                writes.insert(Dep::Egress);
+            }
+            if p.restructures() {
+                reads.insert(Dep::Structure);
+                writes.insert(Dep::Structure);
             }
         }
     }
@@ -161,9 +218,10 @@ fn analyze(program: &P4Program, opts: &CompileOptions) -> DependencyGraph {
     struct Ctx<'a> {
         program: &'a P4Program,
         graph: DependencyGraph,
-        /// Effective read set of each visited table (keys + guard fields).
-        reads: HashMap<TableId, BTreeSet<Dep>>,
-        writes: HashMap<TableId, BTreeSet<Dep>>,
+        /// Effective read set of each visited table (keys + guard fields),
+        /// by `TableId.0`.
+        reads: Vec<DepSet>,
+        writes: Vec<DepSet>,
         effect_deps: bool,
         ignore_anti_deps: bool,
     }
@@ -172,31 +230,25 @@ fn analyze(program: &P4Program, opts: &CompileOptions) -> DependencyGraph {
         /// Visit a control node. `before` holds tables that happen before
         /// this node; `guards` are fields the node's execution depends on.
         /// Returns the tables inside the node.
-        fn visit(
-            &mut self,
-            node: &Control,
-            before: &[TableId],
-            guards: &BTreeSet<FieldRef>,
-        ) -> Vec<TableId> {
+        fn visit(&mut self, node: &Control, before: &[TableId], guards: DepSet) -> Vec<TableId> {
             match node {
                 Control::Nop => Vec::new(),
                 Control::Apply(t) => {
                     let table = self.program.table(*t);
                     let (reads, writes) = table_dep_sets(table, guards, self.effect_deps);
-                    let mut preds = BTreeSet::new();
+                    let mut preds = Vec::new();
                     for &a in before {
-                        let a_writes = &self.writes[&a];
-                        let a_reads = &self.reads[&a];
-                        let match_dep = a_writes.iter().any(|f| reads.contains(f));
-                        let action_dep = a_writes.iter().any(|f| writes.contains(f));
-                        let anti_dep = a_reads.iter().any(|f| writes.contains(f));
+                        let (a_reads, a_writes) = (&self.reads[a.0], &self.writes[a.0]);
+                        let match_dep = a_writes.intersects(&reads);
+                        let action_dep = a_writes.intersects(&writes);
+                        let anti_dep = a_reads.intersects(&writes);
                         if match_dep || action_dep || (anti_dep && !self.ignore_anti_deps) {
-                            preds.insert(a);
+                            preds.push(a);
                         }
                     }
-                    self.reads.insert(*t, reads);
-                    self.writes.insert(*t, writes);
-                    self.graph.preds.insert(*t, preds);
+                    self.reads[t.0] = reads;
+                    self.writes[t.0] = writes;
+                    self.graph.preds[t.0] = preds;
                     self.graph.order.push(*t);
                     vec![*t]
                 }
@@ -211,23 +263,23 @@ fn analyze(program: &P4Program, opts: &CompileOptions) -> DependencyGraph {
                     all
                 }
                 Control::Switch { on, cases, default } => {
-                    let mut guards = guards.clone();
-                    guards.insert(*on);
+                    let mut guards = guards;
+                    guards.insert(Dep::Field(*on));
                     let mut all = Vec::new();
                     // Each case sees the same `before` set — cases are
                     // mutually exclusive, so no cross-case edges.
                     for (_, c) in cases {
-                        all.extend(self.visit(c, before, &guards));
+                        all.extend(self.visit(c, before, guards));
                     }
                     if let Some(d) = default {
-                        all.extend(self.visit(d, before, &guards));
+                        all.extend(self.visit(d, before, guards));
                     }
                     all
                 }
                 Control::If { field, then_, .. } => {
-                    let mut guards = guards.clone();
-                    guards.insert(*field);
-                    self.visit(then_, before, &guards)
+                    let mut guards = guards;
+                    guards.insert(Dep::Field(*field));
+                    self.visit(then_, before, guards)
                 }
                 Control::Exclusive(items) => {
                     // Mutually exclusive blocks: each sees the same
@@ -243,16 +295,20 @@ fn analyze(program: &P4Program, opts: &CompileOptions) -> DependencyGraph {
         }
     }
 
+    let n = program.num_tables();
     let mut ctx = Ctx {
         program,
-        graph: DependencyGraph::default(),
-        reads: HashMap::new(),
-        writes: HashMap::new(),
+        graph: DependencyGraph {
+            preds: vec![Vec::new(); n],
+            order: Vec::new(),
+        },
+        reads: vec![DepSet::default(); n],
+        writes: vec![DepSet::default(); n],
         effect_deps: opts.effect_deps,
         ignore_anti_deps: opts.inject_packing_bug,
     };
     if let Some(control) = &program.control {
-        ctx.visit(control, &[], &BTreeSet::new());
+        ctx.visit(control, &[], DepSet::default());
     }
     ctx.graph
 }
@@ -261,7 +317,7 @@ fn analyze(program: &P4Program, opts: &CompileOptions) -> DependencyGraph {
 fn levels(graph: &DependencyGraph) -> HashMap<TableId, usize> {
     let mut level = HashMap::new();
     for &t in &graph.order {
-        let l = graph.preds[&t]
+        let l = graph.preds[t.0]
             .iter()
             .map(|p| level[p] + 1)
             .max()
@@ -269,6 +325,14 @@ fn levels(graph: &DependencyGraph) -> HashMap<TableId, usize> {
         level.insert(t, l);
     }
     level
+}
+
+/// The longest chain of dependent tables: dependency analysis alone, no
+/// hardware model. No packing of the program uses fewer stages. The
+/// program must be valid ([`P4Program::validate`]).
+pub fn dependency_depth(program: &P4Program, opts: &CompileOptions) -> usize {
+    let deepest = levels(&analyze(program, opts)).into_values().max();
+    deepest.map_or(0, |level| level + 1)
 }
 
 /// Compile a program against a hardware model: dependency analysis followed
@@ -281,8 +345,16 @@ pub fn compile(
     opts: CompileOptions,
 ) -> Result<StageAssignment, CompileError> {
     program.validate().map_err(CompileError::Invalid)?;
-    let graph = analyze(program, &opts);
+    pack(program, model, opts, &analyze(program, &opts))
+}
 
+/// First-fit stage packing of a valid program under its dependency graph.
+fn pack(
+    program: &P4Program,
+    model: &PisaModel,
+    opts: CompileOptions,
+    graph: &DependencyGraph,
+) -> Result<StageAssignment, CompileError> {
     #[derive(Clone, Default)]
     struct StageUse {
         sram: u32,
@@ -297,15 +369,20 @@ pub fn compile(
         let table = program.table(t);
         let sram = model.sram_cost(table);
         let tcam = model.tcam_cost(table);
-        let earliest = graph.preds[&t]
+        let earliest = graph.preds[t.0]
             .iter()
             .map(|p| table_stage[p] + 1)
             .max()
             .unwrap_or(0);
 
+        // A pipeline whose stages hold no table, or none of a memory the
+        // table needs, has no room for it however many stages are added.
+        let placeable = model.tables_per_stage > 0
+            && (sram == 0 || model.sram_blocks_per_stage > 0)
+            && (tcam == 0 || model.tcam_blocks_per_stage > 0);
         let fits_in_empty_stage =
             sram <= model.sram_blocks_per_stage && tcam <= model.tcam_blocks_per_stage;
-        if !fits_in_empty_stage && !opts.allow_table_splitting {
+        if !placeable || (!fits_in_empty_stage && !opts.allow_table_splitting) {
             return Err(CompileError::TableTooLarge(table.name.clone()));
         }
 
@@ -944,5 +1021,376 @@ mod tests {
         assert!(g[&a][0].eval(7) && !g[&a][0].eval(8));
         assert!(g[&b][0].eval(8) && !g[&b][0].eval(7));
         assert!(g[&b][1].eval(1) && !g[&b][1].eval(2));
+    }
+
+    #[test]
+    fn stage_without_room_for_any_table_is_rejected() {
+        // No stage count makes room: the packer must say so, not add
+        // stages until memory runs out.
+        let small = seq_program(vec![table("t", &[FieldRef::Ipv4Src], &[], 10)]);
+        let big = seq_program(vec![table("t", &[FieldRef::Ipv4Src], &[], 50_000)]);
+        let splitting = CompileOptions {
+            allow_table_splitting: true,
+            ..CompileOptions::default()
+        };
+        let no_slots = PisaModel {
+            tables_per_stage: 0,
+            ..PisaModel::default()
+        };
+        let no_sram = PisaModel {
+            sram_blocks_per_stage: 0,
+            ..PisaModel::default()
+        };
+        let too_large = Err(CompileError::TableTooLarge("t".into()));
+        for (program, model, opts) in [
+            (&small, &no_slots, CompileOptions::default()),
+            (&big, &no_slots, splitting),
+            (&big, &no_sram, splitting),
+        ] {
+            assert_eq!(compile(program, model, opts).map(|_| ()), too_large);
+        }
+        // Nothing to place, nothing to reject.
+        let empty = compile(&P4Program::new(), &no_slots, CompileOptions::default()).unwrap();
+        assert_eq!(empty.num_stages_used, 0);
+    }
+
+    #[test]
+    fn dependency_tokens_map_to_distinct_bits() {
+        let fields = [
+            FieldRef::EthSrc,
+            FieldRef::EthDst,
+            FieldRef::EtherType,
+            FieldRef::VlanVid,
+            FieldRef::Ipv4Src,
+            FieldRef::Ipv4Dst,
+            FieldRef::Ipv4Proto,
+            FieldRef::Ipv4Ttl,
+            FieldRef::L4Sport,
+            FieldRef::L4Dport,
+            FieldRef::NshSpi,
+            FieldRef::NshSi,
+        ];
+        let tokens: Vec<Dep> = fields
+            .into_iter()
+            .chain((0..=u8::MAX).map(FieldRef::FlowHash))
+            .chain((0..=u8::MAX).map(FieldRef::Meta))
+            .map(Dep::Field)
+            .chain([Dep::Egress, Dep::DropFlag, Dep::Structure])
+            .collect();
+        assert_eq!(tokens.len(), DEP_TOKENS);
+        let mut seen = DepSet::default();
+        for token in &tokens {
+            let mut one = DepSet::default();
+            one.insert(*token);
+            assert!(!seen.intersects(&one), "{token:?} shares a bit");
+            // Packet-resident: every field but the metadata registers.
+            let packet = matches!(token, Dep::Field(f) if !matches!(f, FieldRef::Meta(_)));
+            assert_eq!(one.has_packet_field(), packet, "{token:?}");
+            seen.insert(*token);
+        }
+    }
+
+    /// The dependency analysis over `BTreeSet<Dep>` read/write sets: every
+    /// ordered table pair is three set intersections, every branch clones
+    /// its guard set. Kept as the reference the bitmap analysis is
+    /// compared against.
+    mod reference {
+        use super::super::{CompileOptions, Dep, DependencyGraph};
+        use crate::ir::{Control, FieldRef, P4Program, Table, TableId};
+        use std::collections::{BTreeSet, HashMap};
+
+        fn is_packet_field(f: FieldRef) -> bool {
+            !matches!(f, FieldRef::Meta(_))
+        }
+
+        fn table_dep_sets(
+            table: &Table,
+            guards: &BTreeSet<FieldRef>,
+            effect_deps: bool,
+        ) -> (BTreeSet<Dep>, BTreeSet<Dep>) {
+            let key_fields = table.read_fields();
+            let written = table.written_fields();
+            let mut reads: BTreeSet<Dep> = key_fields.iter().map(|f| Dep::Field(*f)).collect();
+            reads.extend(guards.iter().map(|f| Dep::Field(*f)));
+            let mut writes: BTreeSet<Dep> = written.iter().map(|f| Dep::Field(*f)).collect();
+            if effect_deps {
+                reads.insert(Dep::DropFlag);
+                let touches_packet = key_fields
+                    .iter()
+                    .chain(written.iter())
+                    .chain(guards.iter())
+                    .any(|f| is_packet_field(*f));
+                if touches_packet {
+                    reads.insert(Dep::Structure);
+                }
+                for action in &table.actions {
+                    for p in &action.primitives {
+                        if p.can_drop() {
+                            writes.insert(Dep::DropFlag);
+                        }
+                        if p.sets_egress() {
+                            writes.insert(Dep::Egress);
+                        }
+                        if p.restructures() {
+                            reads.insert(Dep::Structure);
+                            writes.insert(Dep::Structure);
+                        }
+                    }
+                }
+            }
+            (reads, writes)
+        }
+
+        struct Ctx<'a> {
+            program: &'a P4Program,
+            preds: HashMap<TableId, BTreeSet<TableId>>,
+            order: Vec<TableId>,
+            reads: HashMap<TableId, BTreeSet<Dep>>,
+            writes: HashMap<TableId, BTreeSet<Dep>>,
+            effect_deps: bool,
+            ignore_anti_deps: bool,
+        }
+
+        impl Ctx<'_> {
+            fn visit(
+                &mut self,
+                node: &Control,
+                before: &[TableId],
+                guards: &BTreeSet<FieldRef>,
+            ) -> Vec<TableId> {
+                match node {
+                    Control::Nop => Vec::new(),
+                    Control::Apply(t) => {
+                        let table = self.program.table(*t);
+                        let (reads, writes) = table_dep_sets(table, guards, self.effect_deps);
+                        let mut preds = BTreeSet::new();
+                        for &a in before {
+                            let a_writes = &self.writes[&a];
+                            let a_reads = &self.reads[&a];
+                            let match_dep = a_writes.iter().any(|f| reads.contains(f));
+                            let action_dep = a_writes.iter().any(|f| writes.contains(f));
+                            let anti_dep = a_reads.iter().any(|f| writes.contains(f));
+                            if match_dep || action_dep || (anti_dep && !self.ignore_anti_deps) {
+                                preds.insert(a);
+                            }
+                        }
+                        self.reads.insert(*t, reads);
+                        self.writes.insert(*t, writes);
+                        self.preds.insert(*t, preds);
+                        self.order.push(*t);
+                        vec![*t]
+                    }
+                    Control::Seq(items) => {
+                        let mut before = before.to_vec();
+                        let mut all = Vec::new();
+                        for item in items {
+                            let inner = self.visit(item, &before, guards);
+                            before.extend(inner.iter().copied());
+                            all.extend(inner);
+                        }
+                        all
+                    }
+                    Control::Switch { on, cases, default } => {
+                        let mut guards = guards.clone();
+                        guards.insert(*on);
+                        let mut all = Vec::new();
+                        for (_, c) in cases {
+                            all.extend(self.visit(c, before, &guards));
+                        }
+                        if let Some(d) = default {
+                            all.extend(self.visit(d, before, &guards));
+                        }
+                        all
+                    }
+                    Control::If { field, then_, .. } => {
+                        let mut guards = guards.clone();
+                        guards.insert(*field);
+                        self.visit(then_, before, &guards)
+                    }
+                    Control::Exclusive(items) => {
+                        let mut all = Vec::new();
+                        for item in items {
+                            all.extend(self.visit(item, before, guards));
+                        }
+                        all
+                    }
+                }
+            }
+        }
+
+        /// The graph in the production shape; each table's predecessors
+        /// ascending by id.
+        pub fn analyze(program: &P4Program, opts: &CompileOptions) -> DependencyGraph {
+            let mut ctx = Ctx {
+                program,
+                preds: HashMap::new(),
+                order: Vec::new(),
+                reads: HashMap::new(),
+                writes: HashMap::new(),
+                effect_deps: opts.effect_deps,
+                ignore_anti_deps: opts.inject_packing_bug,
+            };
+            if let Some(control) = &program.control {
+                ctx.visit(control, &[], &BTreeSet::new());
+            }
+            let mut preds = vec![Vec::new(); program.num_tables()];
+            for (t, before) in ctx.preds {
+                preds[t.0] = before.into_iter().collect();
+            }
+            DependencyGraph {
+                preds,
+                order: ctx.order,
+            }
+        }
+    }
+
+    /// A program drawn from a byte tape, in the shape `lemur-fuzz`
+    /// generates: a classifier writing two selector registers, then body
+    /// tables under nested `Switch` / `If` / `Exclusive` blocks, every
+    /// table applied exactly once. Fields span all four token ranges and
+    /// the primitives every effect token.
+    fn tape_program(tape: &[u8]) -> P4Program {
+        const FIELDS: [FieldRef; 14] = [
+            FieldRef::EthDst,
+            FieldRef::VlanVid,
+            FieldRef::Ipv4Src,
+            FieldRef::Ipv4Ttl,
+            FieldRef::L4Dport,
+            FieldRef::NshSpi,
+            FieldRef::NshSi,
+            FieldRef::FlowHash(0),
+            FieldRef::FlowHash(255),
+            FieldRef::Meta(0),
+            FieldRef::Meta(1),
+            FieldRef::Meta(2),
+            FieldRef::Meta(63),
+            FieldRef::Meta(255),
+        ];
+        struct Tape<'a>(std::iter::Cycle<std::slice::Iter<'a, u8>>);
+        impl Tape<'_> {
+            fn below(&mut self, n: usize) -> usize {
+                *self.0.next().expect("a non-empty tape cycles forever") as usize % n
+            }
+            fn field(&mut self) -> FieldRef {
+                FIELDS[self.below(FIELDS.len())]
+            }
+            fn primitive(&mut self) -> Primitive {
+                match self.below(12) {
+                    0..=3 => Primitive::SetFieldConst(self.field(), 1),
+                    4 => Primitive::SetFieldFromData(self.field(), 0),
+                    5 => Primitive::SetEgressConst(1),
+                    6 => Primitive::Drop,
+                    7 => Primitive::DecNshSi,
+                    8 => Primitive::PushVlanFromData(0),
+                    9 => Primitive::PopNsh,
+                    _ => Primitive::NoOp,
+                }
+            }
+            fn table(&mut self, i: usize) -> Table {
+                let keys = (0..self.below(3))
+                    .map(|_| (self.field(), MatchKind::Exact))
+                    .collect();
+                let actions = (0..1 + self.below(2))
+                    .map(|_| {
+                        Action::new("a", (0..self.below(3)).map(|_| self.primitive()).collect())
+                    })
+                    .collect();
+                Table {
+                    name: format!("t{i}"),
+                    keys,
+                    actions,
+                    default_action: None,
+                    size: 1 + self.below(3) * 5000,
+                }
+            }
+            fn control(&mut self, tables: &[TableId], depth: usize) -> Control {
+                if tables.len() <= 1 || depth >= 3 {
+                    return Control::Seq(tables.iter().map(|t| Control::Apply(*t)).collect());
+                }
+                let mut blocks = Vec::new();
+                let mut rest = tables;
+                while !rest.is_empty() {
+                    let (chunk, tail) = rest.split_at(1 + self.below(rest.len()));
+                    rest = tail;
+                    let (a, b) = chunk.split_at(chunk.len() / 2);
+                    match self.below(5) {
+                        0 | 1 => blocks.extend(chunk.iter().map(|t| Control::Apply(*t))),
+                        2 => blocks.push(Control::Switch {
+                            on: self.field(),
+                            cases: vec![(0, self.control(a, depth + 1))],
+                            default: Some(Box::new(self.control(b, depth + 1))),
+                        }),
+                        3 => blocks.push(Control::If {
+                            field: self.field(),
+                            op: CmpOp::Lt,
+                            value: 2,
+                            then_: Box::new(self.control(chunk, depth + 1)),
+                        }),
+                        _ => blocks.push(Control::Exclusive(vec![
+                            self.control(a, depth + 1),
+                            self.control(b, depth + 1),
+                        ])),
+                    }
+                }
+                Control::Seq(blocks)
+            }
+        }
+
+        let mut tape = Tape(tape.iter().cycle());
+        let mut p = P4Program::new();
+        let classify = p.add_table(table(
+            "classify",
+            &[FieldRef::L4Dport],
+            &[FieldRef::Meta(0), FieldRef::Meta(1)],
+            16,
+        ));
+        let body: Vec<TableId> = (0..1 + tape.below(12))
+            .map(|i| {
+                let t = tape.table(i);
+                p.add_table(t)
+            })
+            .collect();
+        let body = tape.control(&body, 0);
+        p.control = Some(Control::Seq(vec![Control::Apply(classify), body]));
+        p
+    }
+
+    proptest::proptest! {
+        #![cases = 256]
+
+        /// Same predecessors, same order and same packing as the
+        /// set-based reference, whatever the options.
+        #[test]
+        fn bitmap_analysis_matches_reference_sets(
+            tape in proptest::prop::collection::vec(0u8..=255, 16..160),
+            effect_deps in proptest::prop::bool::ANY,
+            inject_packing_bug in proptest::prop::bool::ANY,
+            allow_table_splitting in proptest::prop::bool::ANY,
+        ) {
+            let program = tape_program(&tape);
+            proptest::prop_assert_eq!(program.validate(), Ok(()));
+            let opts = CompileOptions { allow_table_splitting, effect_deps, inject_packing_bug };
+            let want = reference::analyze(&program, &opts);
+            let mut got = analyze(&program, &opts);
+            for preds in &mut got.preds {
+                preds.sort();
+            }
+            proptest::prop_assert_eq!(&got.preds, &want.preds);
+            proptest::prop_assert_eq!(&got.order, &want.order);
+
+            let model = PisaModel { num_stages: 64, ..PisaModel::default() };
+            let packed = |r: Result<StageAssignment, CompileError>| {
+                r.map(|out| {
+                    let mut table_stage: Vec<_> = out.table_stage.into_iter().collect();
+                    table_stage.sort();
+                    (out.stages, table_stage, out.num_stages_used, out.latency_ns.to_bits())
+                })
+            };
+            let compiled = compile(&program, &model, opts);
+            if let Ok(out) = &compiled {
+                proptest::prop_assert!(out.num_stages_used >= dependency_depth(&program, &opts));
+            }
+            proptest::prop_assert_eq!(packed(compiled), packed(pack(&program, &model, opts, &want)));
+        }
     }
 }

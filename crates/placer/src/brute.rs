@@ -16,10 +16,12 @@
 //! allocation + estimate over `prefix subgroups ++ table entry` — the very
 //! vector [`PlacementProblem::form_subgroups`] would build for the full
 //! assignment, because it emits subgroups chain by chain and
-//! [`corealloc::allocate`] resets every core count first. Assignments are
-//! built only for the ranked candidates that get the LP.
+//! [`corealloc::allocate`] resets every core count first. The beam only
+//! scores with these subgroups, and a score reads no member list, so the
+//! table keeps none: copying an entry onto a prefix allocates nothing.
+//! Assignments are built only for the ranked candidates that get the LP.
 
-use crate::corealloc::{self, CoreStrategy};
+use crate::corealloc::{self, AllocBuffer, CoreStrategy};
 use crate::oracle::{CountingOracle, StageOracle, StageVerdict};
 use crate::parallel::{parallel_flat_map, parallel_map, Workers};
 use crate::placement::{
@@ -102,7 +104,11 @@ pub fn per_chain_patterns(problem: &PlacementProblem, cap: usize) -> Vec<Vec<Pat
                     (id, opts)
                 })
                 .collect();
-            let total: usize = nodes.iter().map(|(_, o)| o.len()).product();
+            // Saturating: 64 two-option nodes already have more patterns
+            // than a `usize` counts, and only `cap` of them are enumerated.
+            let total = nodes
+                .iter()
+                .fold(1usize, |n, (_, o)| n.saturating_mul(o.len()));
             let take = total.min(cap);
             let stride = (total / take.max(1)).max(1);
             let mut patterns = Vec::with_capacity(take);
@@ -139,8 +145,9 @@ pub fn materialize(pattern: &Pattern, server: usize) -> BTreeMap<NodeId, Platfor
 }
 
 /// What one chain contributes under each `(pattern, server)` choice, at
-/// index `pattern * n_servers + server`: its subgroups, or `None` when the
-/// pattern puts a node on a platform that cannot run it.
+/// index `pattern * n_servers + server`: its subgroups without their member
+/// lists, or `None` when the pattern puts a node on a platform that cannot
+/// run it.
 fn chain_table(
     problem: &PlacementProblem,
     ci: usize,
@@ -156,7 +163,13 @@ fn chain_table(
                 problem
                     .check_chain_capabilities(ci, &placed)
                     .is_ok()
-                    .then(|| problem.chain_subgroups(ci, &placed, shape)),
+                    .then(|| {
+                        let mut subgroups = problem.chain_subgroups(ci, &placed, shape);
+                        for sg in &mut subgroups {
+                            sg.nodes = Vec::new();
+                        }
+                        subgroups
+                    }),
             );
         }
     }
@@ -164,7 +177,7 @@ fn chain_table(
 }
 
 /// A beam entry: the [`chain_table`] index chosen for each chain so far and
-/// the subgroups those choices form.
+/// the subgroups those choices form (no member lists, as in the table).
 struct Partial {
     choices: Vec<usize>,
     subgroups: Vec<SubgroupPlan>,
@@ -240,12 +253,19 @@ pub fn optimal_with_workers(
         let mut next: Vec<Successor> = parallel_flat_map(workers, &beam, |parent, partial| {
             let prefix = partial.subgroups.len();
             let mut scratch = partial.subgroups.clone();
+            let mut buffer = AllocBuffer::default();
             let mut successors = Vec::new();
             for (choice, entry) in table.iter().enumerate() {
                 let Some(own) = entry else { continue };
                 scratch.truncate(prefix);
                 scratch.extend_from_slice(own);
-                if corealloc::allocate(&sub, &mut scratch, CoreStrategy::WaterFill).is_ok() {
+                let allocated = corealloc::allocate_with(
+                    &sub,
+                    &mut scratch,
+                    CoreStrategy::WaterFill,
+                    &mut buffer,
+                );
+                if allocated.is_ok() {
                     successors.push(Successor {
                         parent,
                         choice,
@@ -395,6 +415,31 @@ mod tests {
         let p = problem(&[CanonicalChain::Chain1], 0.5);
         let pats = per_chain_patterns(&p, 16);
         assert_eq!(pats[0].len(), 16);
+    }
+
+    /// 70 NATs and the BPF in front of them, two platforms each, make 2⁷¹
+    /// patterns: more than a `usize` counts. A product that wraps to zero
+    /// enumerates no pattern, and the search then calls a feasible chain
+    /// infeasible; one that panics takes the caller down.
+    #[test]
+    fn pattern_count_beyond_usize_is_capped_not_wrapped() {
+        let chain = ChainSpec {
+            name: "nat70".to_string(),
+            graph: lemur_core::chains::extreme_nat_chain(70),
+            slo: Some(Slo::elastic_pipe(1e6, 100e9)),
+            aggregate: None,
+        };
+        let p = PlacementProblem::new(vec![chain], Topology::testbed(), NfProfiles::table4());
+        let pats = per_chain_patterns(&p, 64);
+        assert_eq!(pats[0].len(), 64);
+        assert!(pats[0].iter().all(|pat| pat.len() == 72));
+        let config = BruteConfig {
+            max_patterns_per_chain: 64,
+            beam_width: 4,
+            candidates: 2,
+        };
+        let out = optimal(&p, &AlwaysFits, config).expect("a 1 Mb/s floor is feasible");
+        assert_eq!(out.assignment[0].len(), 72);
     }
 
     #[test]

@@ -25,9 +25,9 @@ fn capacity(problem: &PlacementProblem, sg: &SubgroupPlan, cores: usize) -> f64 
     sg.capacity_with_cores_bps(cores, problem.topology.servers[sg.server].clock_hz)
 }
 
-/// A chain's bottleneck under the current allocation. `allocate` asks for
-/// it once per chain per step: the chain's capacity now, which subgroup
-/// to grow, and the capacity afterwards all come from one pass.
+/// A chain's bottleneck under the current allocation: the chain's capacity
+/// now, which subgroup to grow, and what bounds the capacity afterwards.
+#[derive(Debug, Clone, Copy)]
 struct Bottleneck {
     /// The first subgroup of minimum capacity.
     index: usize,
@@ -38,46 +38,36 @@ struct Bottleneck {
 }
 
 impl Bottleneck {
+    /// Fold the next subgroup of the chain (slice position `index`,
+    /// capacity `cap`) into the bottleneck found so far.
+    fn with(found: Option<Bottleneck>, index: usize, cap: f64) -> Bottleneck {
+        match found {
+            Some(b) if cap < b.cap => Bottleneck {
+                index,
+                cap,
+                rest: b.rest.min(b.cap),
+            },
+            Some(b) => Bottleneck {
+                rest: b.rest.min(cap),
+                ..b
+            },
+            None => Bottleneck {
+                index,
+                cap,
+                rest: f64::INFINITY,
+            },
+        }
+    }
+
     /// `None` for a chain with no subgroup: nothing on a server bounds it.
     fn of(problem: &PlacementProblem, subgroups: &[SubgroupPlan], chain: usize) -> Option<Self> {
-        let mut found: Option<Bottleneck> = None;
+        let mut found = None;
         for (index, sg) in subgroups.iter().enumerate() {
-            if sg.chain != chain {
-                continue;
-            }
-            let cap = capacity(problem, sg, sg.cores);
-            match &mut found {
-                Some(b) if cap < b.cap => {
-                    *b = Bottleneck {
-                        index,
-                        cap,
-                        rest: b.rest.min(b.cap),
-                    }
-                }
-                Some(b) => b.rest = b.rest.min(cap),
-                None => {
-                    found = Some(Bottleneck {
-                        index,
-                        cap,
-                        rest: f64::INFINITY,
-                    })
-                }
+            if sg.chain == chain {
+                found = Some(Self::with(found, index, capacity(problem, sg, sg.cores)));
             }
         }
         found
-    }
-
-    /// Can the bottleneck take one more core (replicable, with a free core
-    /// on its server)?
-    fn growable(&self, subgroups: &[SubgroupPlan], free: &[isize]) -> bool {
-        let sg = &subgroups[self.index];
-        sg.replicable && free[sg.server] > 0
-    }
-
-    /// The chain's capacity were the bottleneck given one more core.
-    fn cap_if_grown(&self, problem: &PlacementProblem, subgroups: &[SubgroupPlan]) -> f64 {
-        let sg = &subgroups[self.index];
-        self.rest.min(capacity(problem, sg, sg.cores + 1))
     }
 }
 
@@ -91,15 +81,60 @@ fn slo_of(problem: &PlacementProblem, chain: usize) -> Slo {
     problem.chains[chain].slo.unwrap_or(Slo::bulk())
 }
 
-/// Free worker cores per server under the current allocation.
-fn free_cores(problem: &PlacementProblem, subgroups: &[SubgroupPlan]) -> Vec<isize> {
-    let mut free: Vec<isize> = (0..problem.topology.servers.len())
-        .map(|s| problem.topology.worker_cores(s) as isize)
-        .collect();
-    for sg in subgroups {
-        free[sg.server] -= sg.cores as isize;
+/// The vectors [`allocate_with`] works in. A search that allocates many
+/// candidate subgroup lists of one problem keeps one and passes it to every
+/// call; each call overwrites it, so nothing carries over between calls.
+#[derive(Debug, Default)]
+pub struct AllocBuffer {
+    /// Free worker cores per server.
+    free: Vec<isize>,
+    /// Every chain's bottleneck under the allocation so far.
+    bottlenecks: Vec<Option<Bottleneck>>,
+}
+
+/// One allocation in progress: every subgroup at its current core count,
+/// with `free` and `bottlenecks` kept in step with it.
+struct Allocation<'a> {
+    problem: &'a PlacementProblem,
+    subgroups: &'a mut [SubgroupPlan],
+    free: &'a mut [isize],
+    bottlenecks: &'a mut [Option<Bottleneck>],
+}
+
+impl Allocation<'_> {
+    fn cap(&self, chain: usize) -> f64 {
+        self.bottlenecks[chain].map_or(f64::INFINITY, |b| b.cap)
     }
-    free
+
+    /// The chain's bottleneck, if it can take one more core (replicable,
+    /// with a free core on its server).
+    fn growable(&self, chain: usize) -> Option<Bottleneck> {
+        self.bottlenecks[chain].filter(|b| {
+            let sg = &self.subgroups[b.index];
+            sg.replicable && self.free[sg.server] > 0
+        })
+    }
+
+    /// The chain's capacity were its bottleneck `b` given one more core.
+    fn cap_if_grown(&self, b: &Bottleneck) -> f64 {
+        let sg = &self.subgroups[b.index];
+        b.rest.min(capacity(self.problem, sg, sg.cores + 1))
+    }
+
+    /// Give subgroup `i` one more core. Only its own chain's capacity can
+    /// change, so only that chain's bottleneck is found again.
+    fn grow(&mut self, i: usize) {
+        let (chain, server) = (self.subgroups[i].chain, self.subgroups[i].server);
+        self.free[server] -= 1;
+        self.subgroups[i].cores += 1;
+        self.bottlenecks[chain] = Bottleneck::of(self.problem, self.subgroups, chain);
+    }
+
+    /// The first chain below its `t_min`, for error texts.
+    fn first_unmet(&self) -> Option<usize> {
+        (0..self.bottlenecks.len())
+            .find(|&c| self.cap(c) + 1e-6 < slo_of(self.problem, c).t_min_bps)
+    }
 }
 
 /// Allocate cores in place. Every subgroup starts at 1 core; failure to
@@ -109,17 +144,45 @@ pub fn allocate(
     subgroups: &mut [SubgroupPlan],
     strategy: CoreStrategy,
 ) -> Result<(), PlacementError> {
-    for sg in subgroups.iter_mut() {
+    allocate_with(problem, subgroups, strategy, &mut AllocBuffer::default())
+}
+
+/// [`allocate`] working in the caller's `buffer`.
+pub fn allocate_with(
+    problem: &PlacementProblem,
+    subgroups: &mut [SubgroupPlan],
+    strategy: CoreStrategy,
+    buffer: &mut AllocBuffer,
+) -> Result<(), PlacementError> {
+    let n_chains = problem.chains.len();
+    let AllocBuffer { free, bottlenecks } = buffer;
+    free.clear();
+    free.extend(
+        (0..problem.topology.servers.len()).map(|s| problem.topology.worker_cores(s) as isize),
+    );
+    bottlenecks.clear();
+    bottlenecks.resize(n_chains, None);
+    for (index, sg) in subgroups.iter_mut().enumerate() {
         sg.cores = 1;
+        free[sg.server] -= 1;
+        // Subgroups of a chain the problem does not hold take their core
+        // and bound nothing.
+        if let Some(found) = bottlenecks.get_mut(sg.chain) {
+            *found = Some(Bottleneck::with(*found, index, capacity(problem, sg, 1)));
+        }
     }
-    let mut free = free_cores(problem, subgroups);
     if free.iter().any(|f| *f < 0) {
         return Err(PlacementError::Infeasible(
             "more subgroups than worker cores".to_string(),
         ));
     }
+    let mut a = Allocation {
+        problem,
+        subgroups,
+        free,
+        bottlenecks,
+    };
 
-    let n_chains = problem.chains.len();
     let tor_rate = match &problem.topology.tor {
         crate::topology::Tor::Pisa(m) => m.port_rate_bps,
         crate::topology::Tor::OpenFlow { rate_bps } => *rate_bps,
@@ -134,16 +197,12 @@ pub fn allocate(
             let mut progressed = false;
             let mut all_met = true;
             for c in 0..n_chains {
-                let Some(b) = Bottleneck::of(problem, subgroups, c) else {
-                    continue;
-                };
-                if b.cap + 1e-6 >= slo_of(problem, c).t_min_bps {
+                if a.cap(c) + 1e-6 >= slo_of(problem, c).t_min_bps {
                     continue;
                 }
                 all_met = false;
-                if b.growable(subgroups, &free) {
-                    free[subgroups[b.index].server] -= 1;
-                    subgroups[b.index].cores += 1;
+                if let Some(b) = a.growable(c) {
+                    a.grow(b.index);
                     progressed = true;
                 }
             }
@@ -151,16 +210,10 @@ pub fn allocate(
                 break;
             }
             if !progressed {
-                // Find the first unmet chain for the error message.
-                let c = (0..n_chains)
-                    .find(|c| {
-                        chain_capacity(problem, subgroups, *c) + 1e-6
-                            < slo_of(problem, *c).t_min_bps
-                    })
-                    .unwrap_or(0);
+                let c = a.first_unmet().unwrap_or(0);
                 return Err(PlacementError::Infeasible(format!(
                     "chain {c}: cannot reach t_min ({:.2}G < {:.2}G)",
-                    chain_capacity(problem, subgroups, c) / 1e9,
+                    a.cap(c) / 1e9,
                     slo_of(problem, c).t_min_bps / 1e9
                 )));
             }
@@ -171,12 +224,10 @@ pub fn allocate(
     match strategy {
         CoreStrategy::MinimalOnly => {
             // Still must verify t_min with single cores.
-            for c in 0..n_chains {
-                if chain_capacity(problem, subgroups, c) + 1e-6 < slo_of(problem, c).t_min_bps {
-                    return Err(PlacementError::Infeasible(format!(
-                        "chain {c}: t_min unreachable without core scaling"
-                    )));
-                }
+            if let Some(c) = a.first_unmet() {
+                return Err(PlacementError::Infeasible(format!(
+                    "chain {c}: t_min unreachable without core scaling"
+                )));
             }
         }
         CoreStrategy::WaterFill => {
@@ -184,22 +235,15 @@ pub fn allocate(
             loop {
                 let mut best: Option<(usize, f64)> = None;
                 for c in 0..n_chains {
-                    let slo = slo_of(problem, c);
-                    let ceiling = slo.t_max_bps.min(tor_rate);
-                    let Some(b) = Bottleneck::of(problem, subgroups, c) else {
-                        continue;
-                    };
-                    if !b.growable(subgroups, &free) {
-                        continue;
-                    }
-                    let gain = b.cap_if_grown(problem, subgroups).min(ceiling) - b.cap.min(ceiling);
+                    let Some(b) = a.growable(c) else { continue };
+                    let ceiling = slo_of(problem, c).t_max_bps.min(tor_rate);
+                    let gain = a.cap_if_grown(&b).min(ceiling) - b.cap.min(ceiling);
                     if gain > 1e-6 && best.map(|(_, g)| gain > g).unwrap_or(true) {
                         best = Some((b.index, gain));
                     }
                 }
                 let Some((i, _)) = best else { break };
-                free[subgroups[i].server] -= 1;
-                subgroups[i].cores += 1;
+                a.grow(i);
             }
         }
         CoreStrategy::SequentialGreedy => {
@@ -207,19 +251,15 @@ pub fn allocate(
             for c in 0..n_chains {
                 let ceiling = slo_of(problem, c).t_max_bps.min(tor_rate);
                 loop {
-                    let b = Bottleneck::of(problem, subgroups, c);
-                    let now = b.as_ref().map_or(f64::INFINITY, |b| b.cap).min(ceiling);
+                    let now = a.cap(c).min(ceiling);
                     if now + 1e-6 >= ceiling {
                         break;
                     }
-                    let Some(b) = b.filter(|b| b.growable(subgroups, &free)) else {
-                        break;
-                    };
-                    if b.cap_if_grown(problem, subgroups).min(ceiling) - now <= 1e-6 {
+                    let Some(b) = a.growable(c) else { break };
+                    if a.cap_if_grown(&b).min(ceiling) - now <= 1e-6 {
                         break;
                     }
-                    free[subgroups[b.index].server] -= 1;
-                    subgroups[b.index].cores += 1;
+                    a.grow(b.index);
                 }
             }
         }
@@ -229,17 +269,12 @@ pub fn allocate(
             loop {
                 let mut gave_any = false;
                 for c in 0..n_chains {
-                    let Some(b) = Bottleneck::of(problem, subgroups, c)
-                        .filter(|b| b.growable(subgroups, &free))
-                    else {
-                        continue;
-                    };
+                    let Some(b) = a.growable(c) else { continue };
                     // Only if it actually improves (avoid burning cores
                     // on a non-bottleneck shape).
-                    let after = b.cap_if_grown(problem, subgroups);
+                    let after = a.cap_if_grown(&b);
                     if after - b.cap > 1e-6 && after <= 2.0 * tor_rate {
-                        free[subgroups[b.index].server] -= 1;
-                        subgroups[b.index].cores += 1;
+                        a.grow(b.index);
                         gave_any = true;
                     }
                 }
@@ -249,12 +284,10 @@ pub fn allocate(
             }
             // EvenSpare ignores SLOs while allocating, but feasibility
             // still requires t_min afterwards.
-            for c in 0..n_chains {
-                if chain_capacity(problem, subgroups, c) + 1e-6 < slo_of(problem, c).t_min_bps {
-                    return Err(PlacementError::Infeasible(format!(
-                        "chain {c}: t_min unmet under even-spare allocation"
-                    )));
-                }
+            if let Some(c) = a.first_unmet() {
+                return Err(PlacementError::Infeasible(format!(
+                    "chain {c}: t_min unmet under even-spare allocation"
+                )));
             }
         }
     }
@@ -435,8 +468,19 @@ mod tests {
     /// its own pass over the whole slice. Kept as the reference the
     /// single-pass version is compared against.
     mod reference {
-        use super::super::{free_cores, slo_of, CoreStrategy};
+        use super::super::{slo_of, CoreStrategy};
         use crate::placement::{PlacementError, PlacementProblem, SubgroupPlan};
+
+        /// Free worker cores per server under the current allocation.
+        fn free_cores(problem: &PlacementProblem, subgroups: &[SubgroupPlan]) -> Vec<isize> {
+            let mut free: Vec<isize> = (0..problem.topology.servers.len())
+                .map(|s| problem.topology.worker_cores(s) as isize)
+                .collect();
+            for sg in subgroups {
+                free[sg.server] -= sg.cores as isize;
+            }
+            free
+        }
 
         /// Chain-rate capacity (bps) implied by the current allocation: min over
         /// the chain's subgroups.
@@ -640,63 +684,98 @@ mod tests {
         }
     }
 
+    /// A problem and a capability-blind random placement's subgroups (so
+    /// chains with none, one and many subgroups).
+    fn scenario(
+        picks: &[usize],
+        delta: f64,
+        servers: usize,
+        seeds: &[usize],
+    ) -> (PlacementProblem, Vec<SubgroupPlan>) {
+        let chains = picks
+            .iter()
+            .map(|&w| ChainSpec {
+                name: format!("chain{w}"),
+                // 5: equal parallel branches, so capacities tie.
+                graph: CanonicalChain::ALL
+                    .get(w)
+                    .map_or_else(|| extreme_nat_chain(3), |c| canonical_chain(*c)),
+                slo: None,
+                aggregate: None,
+            })
+            .collect();
+        let topology = if servers == 1 {
+            Topology::testbed()
+        } else {
+            Topology::with_servers(servers)
+        };
+        let mut p = PlacementProblem::new(chains, topology, NfProfiles::table4());
+        for i in 0..p.chains.len() {
+            let base = p.base_rate_bps(i);
+            p.chains[i].slo = Some(Slo::elastic_pipe((delta * base).min(100e9), 100e9));
+        }
+        let mut next = seeds.iter().cycle();
+        let a: crate::Assignment = p
+            .chains
+            .iter()
+            .map(|c| {
+                c.graph
+                    .nodes()
+                    .map(|(id, _)| {
+                        let s = *next.next().unwrap();
+                        let plat = if s.is_multiple_of(3) {
+                            Platform::Pisa
+                        } else {
+                            Platform::Server(s % servers)
+                        };
+                        (id, plat)
+                    })
+                    .collect::<BTreeMap<_, _>>()
+            })
+            .collect();
+        let subgroups = p.form_subgroups(&a);
+        (p, subgroups)
+    }
+
     proptest::proptest! {
         #![cases = 256]
 
         /// Same cores, same error text as the reference loops — every
-        /// strategy, capability-blind random placements (so chains with
-        /// none, one and many subgroups), one to three servers.
+        /// strategy, one to three servers, whole subgroup lists and
+        /// prefixes of them. One buffer serves every call of a case, over
+        /// problems of different chain and server counts: a call must not
+        /// see what the one before left in it.
         #[test]
         fn allocate_matches_reference_loops(
-            picks in proptest::prop::collection::vec(0usize..6, 1..5),
-            delta in 0.1f64..3.0,
-            servers in 1usize..4,
-            seeds in proptest::prop::collection::vec(0usize..1000, 8..64),
+            scenarios in proptest::prop::collection::vec(
+                (
+                    proptest::prop::collection::vec(0usize..6, 1..5),
+                    0.1f64..3.0,
+                    1usize..4,
+                    proptest::prop::collection::vec(0usize..1000, 8..64),
+                ),
+                1..4,
+            ),
         ) {
-            let chains = picks
-                .iter()
-                .map(|&w| ChainSpec {
-                    name: format!("chain{w}"),
-                    // 5: equal parallel branches, so capacities tie.
-                    graph: CanonicalChain::ALL.get(w).map_or_else(|| extreme_nat_chain(3), |c| canonical_chain(*c)),
-                    slo: None,
-                    aggregate: None,
-                })
-                .collect();
-            let topology = if servers == 1 { Topology::testbed() } else { Topology::with_servers(servers) };
-            let mut p = PlacementProblem::new(chains, topology, NfProfiles::table4());
-            for i in 0..p.chains.len() {
-                let base = p.base_rate_bps(i);
-                p.chains[i].slo = Some(Slo::elastic_pipe((delta * base).min(100e9), 100e9));
-            }
-            let mut next = seeds.iter().cycle();
-            let a: crate::Assignment = p
-                .chains
-                .iter()
-                .map(|c| {
-                    c.graph
-                        .nodes()
-                        .map(|(id, _)| {
-                            let s = *next.next().unwrap();
-                            let plat = if s % 3 == 0 { Platform::Pisa } else { Platform::Server(s % servers) };
-                            (id, plat)
-                        })
-                        .collect::<BTreeMap<_, _>>()
-                })
-                .collect();
-            for strategy in [
-                CoreStrategy::WaterFill,
-                CoreStrategy::SequentialGreedy,
-                CoreStrategy::EvenSpare,
-                CoreStrategy::MinimalOnly,
-            ] {
-                let mut got = p.form_subgroups(&a);
-                let mut want = got.clone();
-                let got_result = allocate(&p, &mut got, strategy);
-                let want_result = reference::allocate(&p, &mut want, strategy);
-                proptest::prop_assert_eq!(got_result, want_result, "{strategy:?}");
-                let cores = |sgs: &[SubgroupPlan]| sgs.iter().map(|sg| sg.cores).collect::<Vec<_>>();
-                proptest::prop_assert_eq!(cores(&got), cores(&want), "{strategy:?}");
+            let mut buffer = AllocBuffer::default();
+            for (picks, delta, servers, seeds) in &scenarios {
+                let (p, subgroups) = scenario(picks, *delta, *servers, seeds);
+                for strategy in [
+                    CoreStrategy::WaterFill,
+                    CoreStrategy::SequentialGreedy,
+                    CoreStrategy::EvenSpare,
+                    CoreStrategy::MinimalOnly,
+                ] {
+                    for len in [subgroups.len(), subgroups.len() / 2] {
+                        let mut got = subgroups[..len].to_vec();
+                        let mut want = got.clone();
+                        let got_result = allocate_with(&p, &mut got, strategy, &mut buffer);
+                        let want_result = reference::allocate(&p, &mut want, strategy);
+                        proptest::prop_assert_eq!(got_result, want_result, "{strategy:?} {len}");
+                        let cores = |sgs: &[SubgroupPlan]| sgs.iter().map(|sg| sg.cores).collect::<Vec<_>>();
+                        proptest::prop_assert_eq!(cores(&got), cores(&want), "{strategy:?} {len}");
+                    }
+                }
             }
         }
     }

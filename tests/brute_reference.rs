@@ -173,6 +173,36 @@ fn observed(result: Result<EvaluatedPlacement, PlacementError>) -> Result<String
         .map_err(|e| e.to_string())
 }
 
+/// The five chain sets of the placement sweep (Figure 2's a–e) at
+/// δ = 0.5 on the testbed, default beam, real compiler: the beam scores on
+/// subgroups that carry no member lists, and what it returns — placement or
+/// error text, and every search count — is the full-rescore search's.
+#[test]
+fn sweep_sets_equal_full_rescore_at_default_beam() {
+    let sets: [&[usize]; 5] = [
+        &[0, 1, 2, 3],
+        &[0, 1, 2],
+        &[0, 1, 3],
+        &[0, 2, 3],
+        &[1, 2, 3],
+    ];
+    let oracle = CompilerOracle::new();
+    let config = BruteConfig::default();
+    for picks in sets {
+        let p = problem(picks, 0.5, Topology::testbed());
+        let want = optimal_full_rescore(&p, &oracle, config);
+        let got = optimal_with_workers(&p, &oracle, config, Workers::new(1));
+        let counts = |r: &Result<EvaluatedPlacement, PlacementError>| {
+            r.as_ref().ok().map(|out| {
+                let t = out.telemetry.expect("a search reports its telemetry");
+                (t.lp_evals, t.oracle_calls, t.pruned_candidates)
+            })
+        };
+        assert_eq!(counts(&got), counts(&want), "{picks:?}");
+        assert_eq!(observed(got), observed(want), "{picks:?}");
+    }
+}
+
 proptest! {
     #![cases = 120]
 
