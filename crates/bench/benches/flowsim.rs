@@ -44,8 +44,21 @@ fn spec() -> ScenarioSpec {
     }
 }
 
+/// [`spec`] plus a DDoS surge, so materialization merges junk flows in.
+fn ddos_spec() -> ScenarioSpec {
+    let mut s = spec();
+    s.chains[0].surges.push(Surge {
+        kind: SurgeKind::Ddos,
+        start_ns: HORIZON_NS * 5 / 8,
+        duration_ns: HORIZON_NS / 8,
+        factor: 2.0,
+    });
+    s
+}
+
 fn bench_flowsim_window(c: &mut Criterion) {
     let s = spec();
+    let ddos = ddos_spec();
     let scenario = s.materialize();
     let traffic = TrafficSpec::for_chain(1, 1e9).expect("chain 1 in range");
     let frame_len = vec![(traffic.payload_len + 42) as u64];
@@ -54,6 +67,9 @@ fn bench_flowsim_window(c: &mut Criterion) {
     group.throughput(Throughput::Elements(FLOWS as u64));
     group.bench_function("materialize_20k", |b| {
         b.iter(|| criterion::black_box(&s).materialize());
+    });
+    group.bench_function("materialize_20k_ddos", |b| {
+        b.iter(|| criterion::black_box(&ddos).materialize());
     });
     group.bench_function("tail_plan_20k", |b| {
         b.iter(|| {

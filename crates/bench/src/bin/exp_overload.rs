@@ -34,8 +34,8 @@ use lemur_control::{Supervisor, SupervisorConfig, SupervisorEvent};
 use lemur_core::chains::CanonicalChain;
 use lemur_core::Slo;
 use lemur_dataplane::{
-    validate_scenario, ChainLoad, FlowSizeDist, HybridConfig, HybridMode, SimConfig, Surge,
-    SurgeKind, Testbed, TrafficTolerance,
+    validate_scenario, ChainLoad, FlowSizeDist, HybridConfig, HybridMode, ScenarioSpec, SimConfig,
+    Surge, SurgeKind, Testbed, TrafficTolerance,
 };
 use lemur_placer::topology::Topology;
 
@@ -122,6 +122,16 @@ fn storm_load(flows: usize, horizon_ns: u64, chain: usize) -> ChainLoad {
     }
 }
 
+fn storm_spec(seed: u64, horizon_ns: u64, quick: bool, n_chains: usize) -> ScenarioSpec {
+    ScenarioSpec {
+        seed,
+        horizon_ns,
+        chains: (0..n_chains)
+            .map(|ci| storm_load(flows_per_chain(quick), horizon_ns, ci))
+            .collect(),
+    }
+}
+
 struct OverloadRow {
     seed: u64,
     flows_total: usize,
@@ -200,13 +210,7 @@ fn run_seed(seed: u64, quick: bool, failures: &mut Vec<String>) -> OverloadRow {
 
     let config = sim_config(seed, quick);
     let horizon = horizon_ns(&config);
-    let spec = lemur_dataplane::ScenarioSpec {
-        seed,
-        horizon_ns: horizon,
-        chains: (0..n_chains)
-            .map(|ci| storm_load(flows_per_chain(quick), horizon, ci))
-            .collect(),
-    };
+    let spec = storm_spec(seed, horizon, quick, n_chains);
     let scenario = spec.materialize();
     // The observed burst factor is the max over O(100) windows, so it
     // sits above the declared intensity peak by an extreme-value margin
@@ -456,5 +460,20 @@ fn main() {
             eprintln!("FAIL: {f}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn storm_specs_validate() {
+        for quick in [false, true] {
+            for seed in SEEDS {
+                let spec = storm_spec(seed, horizon_ns(&sim_config(seed, quick)), quick, 2);
+                assert_eq!(spec.validate(), Ok(()), "seed {seed}, quick = {quick}");
+            }
+        }
     }
 }

@@ -274,24 +274,7 @@ fn equivalence_check(
     failures: &mut Vec<String>,
 ) -> EquivalenceCheck {
     let config = sim_config();
-    let spec = ScenarioSpec {
-        seed: 0xBEEF,
-        horizon_ns: horizon_ns(&config),
-        chains: (0..2)
-            .map(|ci| ChainLoad {
-                flows: 100,
-                flow_rate_pps: 10_000.0 + 2_000.0 * ci as f64,
-                size: FlowSizeDist {
-                    alpha: 1.1,
-                    min_packets: 1,
-                    max_packets: 2_048,
-                },
-                diurnal: None,
-                surges: vec![],
-            })
-            .collect(),
-    };
-    let scenario: Scenario = spec.materialize();
+    let scenario: Scenario = equivalence_spec(horizon_ns(&config)).materialize();
     let run = |mode: &HybridMode| {
         testbed(p, e)
             .run_scenario(&scenario, specs, config, mode)
@@ -326,6 +309,27 @@ fn equivalence_check(
         delivered_hybrid: hybrid.ledger.delivered,
         bound,
         ok,
+    }
+}
+
+/// The small unsaturated flow mix of [`equivalence_check`]: no surges.
+fn equivalence_spec(horizon_ns: u64) -> ScenarioSpec {
+    ScenarioSpec {
+        seed: 0xBEEF,
+        horizon_ns,
+        chains: (0..2)
+            .map(|ci| ChainLoad {
+                flows: 100,
+                flow_rate_pps: 10_000.0 + 2_000.0 * ci as f64,
+                size: FlowSizeDist {
+                    alpha: 1.1,
+                    min_packets: 1,
+                    max_packets: 2_048,
+                },
+                diurnal: None,
+                surges: vec![],
+            })
+            .collect(),
     }
 }
 
@@ -465,5 +469,20 @@ fn main() {
             eprintln!("FAIL: {f}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scenario_specs_validate() {
+        let horizon = horizon_ns(&sim_config());
+        for total in scales(false).into_iter().chain(scales(true)) {
+            let spec = scenario_spec(total, horizon, 0xC0FFEE ^ total as u64);
+            assert_eq!(spec.validate(), Ok(()), "{total} flows");
+        }
+        assert_eq!(equivalence_spec(horizon).validate(), Ok(()));
     }
 }

@@ -148,6 +148,13 @@ pub enum ScenarioError {
     /// infinite — each of which would silently disable or corrupt the
     /// capacity budget instead of modelling a real link.
     InvalidCapacity { chain: usize, value: f64 },
+    /// A `ScenarioSpec` load field is outside its documented domain (see
+    /// `ScenarioSpec::validate`); `field` names it within `chains[chain]`.
+    InvalidLoad {
+        chain: usize,
+        field: &'static str,
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -156,6 +163,15 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::InvalidCapacity { chain, value } => write!(
                 f,
                 "capacity_bps[{chain}] = {value} is not a positive finite rate"
+            ),
+            ScenarioError::InvalidLoad {
+                chain,
+                field,
+                value,
+            } => write!(
+                f,
+                "chains[{chain}].{field} = {value} is outside its domain \
+                 (amplitude in [0, 1); factors, α and rates finite and > 0)"
             ),
         }
     }

@@ -18,6 +18,7 @@
 //! [`ScenarioSpec`] twice yields byte-identical flow tables, so hybrid
 //! runs replay bit-for-bit.
 
+use crate::engine::ScenarioError;
 use crate::traffic::flow_tuple;
 use lemur_packet::{checksum, ethernet, ipv4, udp, PacketBuf};
 use rand::rngs::StdRng;
@@ -41,17 +42,49 @@ pub struct FlowSizeDist {
 impl FlowSizeDist {
     /// Inverse-CDF sample from one uniform draw `u ∈ [0, 1)`.
     pub fn sample(&self, u: f64) -> u64 {
-        let l = self.min_packets.max(1) as f64;
-        let h = (self.max_packets.max(self.min_packets.max(1))) as f64;
-        if l >= h {
-            return l as u64;
+        InverseCdf::new(self).sample(u)
+    }
+}
+
+/// The bounded-Pareto inverse CDF with its per-distribution constants
+/// computed once:
+///   x = (-(u·(H^-α − L^-α) − L^-α))^(-1/α)
+/// evaluated as `(L^-α − u·(L^-α − H^-α))^(-1/α)`, so a chain's sizes
+/// cost one `powf` each instead of three.
+#[derive(Debug, Clone, Copy)]
+struct InverseCdf {
+    min: u64,
+    max: u64,
+    /// `Some(L)` for a point mass (`L ≥ H`).
+    point: Option<u64>,
+    la: f64,
+    la_minus_ha: f64,
+    neg_inv_alpha: f64,
+}
+
+impl InverseCdf {
+    fn new(d: &FlowSizeDist) -> InverseCdf {
+        let min = d.min_packets.max(1);
+        let l = min as f64;
+        let h = d.max_packets.max(min) as f64;
+        let la = l.powf(-d.alpha);
+        let ha = h.powf(-d.alpha);
+        InverseCdf {
+            min,
+            max: d.max_packets,
+            point: (l >= h).then_some(l as u64),
+            la,
+            la_minus_ha: la - ha,
+            neg_inv_alpha: -1.0 / d.alpha,
         }
-        // Bounded Pareto inverse CDF:
-        //   x = (-(u·(H^-α − L^-α) − L^-α))^(-1/α)
-        let la = l.powf(-self.alpha);
-        let ha = h.powf(-self.alpha);
-        let x = (la - u * (la - ha)).powf(-1.0 / self.alpha);
-        (x as u64).clamp(self.min_packets.max(1), self.max_packets)
+    }
+
+    fn sample(&self, u: f64) -> u64 {
+        if let Some(l) = self.point {
+            return l;
+        }
+        let x = (self.la - u * self.la_minus_ha).powf(self.neg_inv_alpha);
+        (x as u64).clamp(self.min, self.max)
     }
 }
 
@@ -88,7 +121,8 @@ pub struct Surge {
     pub kind: SurgeKind,
     pub start_ns: u64,
     pub duration_ns: u64,
-    /// Intensity multiplier (> 1) while the surge is active.
+    /// Intensity multiplier while the surge is active: finite and > 0
+    /// (a surge proper is > 1; a DDoS factor ≤ 1 adds no junk).
     pub factor: f64,
 }
 
@@ -162,94 +196,208 @@ pub struct Scenario {
 }
 
 impl ScenarioSpec {
+    /// Reject loads outside their documented domains before any draw: a
+    /// diurnal amplitude outside `[0, 1)`, and a surge factor, tail index
+    /// α or per-flow rate that is not finite and positive. A NaN or
+    /// all-zero intensity envelope would otherwise leave the rejection
+    /// sampler spinning forever, and the rest would draw nonsense.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        for (chain, load) in self.chains.iter().enumerate() {
+            let bad = |field: &'static str, value: f64| {
+                Err(ScenarioError::InvalidLoad {
+                    chain,
+                    field,
+                    value,
+                })
+            };
+            if !positive(load.flow_rate_pps) {
+                return bad("flow_rate_pps", load.flow_rate_pps);
+            }
+            if !positive(load.size.alpha) {
+                return bad("size.alpha", load.size.alpha);
+            }
+            if let Some(d) = load.diurnal {
+                if !(0.0..1.0).contains(&d.amplitude) {
+                    return bad("diurnal.amplitude", d.amplitude);
+                }
+            }
+            if let Some(s) = load.surges.iter().find(|s| !positive(s.factor)) {
+                return bad("surges.factor", s.factor);
+            }
+        }
+        Ok(())
+    }
+
+    /// [`ScenarioSpec::try_materialize`] for a spec known to be valid.
+    ///
+    /// # Panics
+    /// With the [`ScenarioError`]'s text when the spec fails
+    /// [`ScenarioSpec::validate`].
+    pub fn materialize(&self) -> Scenario {
+        self.try_materialize().unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Generate the concrete flow table. Deterministic in `seed`: flow
     /// start times are drawn by rejection sampling against the chain's
     /// diurnal × flash-crowd intensity curve, sizes by inverse CDF, and
-    /// DDoS junk flows are appended inside their surge windows.
-    pub fn materialize(&self) -> Scenario {
-        let mut flows = Vec::new();
+    /// DDoS junk flows are added inside their surge windows.
+    ///
+    /// The table is built in `(chain, start_ns, flow_id)` order rather
+    /// than sorted afterwards: a chain's regular flows get their ids in
+    /// start order, so only its junk flows need sorting before they merge
+    /// in (at equal start the regular flow, whose id is smaller, first).
+    ///
+    /// # Errors
+    /// The [`ScenarioSpec::validate`] error of a spec outside its domain.
+    pub fn try_materialize(&self) -> Result<Scenario, ScenarioError> {
+        self.validate()?;
+        let total: usize = self
+            .chains
+            .iter()
+            .map(|load| load.flows + self.ddos_surges(load).map(|(_, n)| n).sum::<usize>())
+            .sum();
+        let mut flows = Vec::with_capacity(total);
+        let mut junk = Vec::new();
         for (ci, load) in self.chains.iter().enumerate() {
             let mut rng =
                 StdRng::seed_from_u64(self.seed ^ (ci as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
             let interval_ns = (1e9 / load.flow_rate_pps).max(1.0) as u64;
-            // Peak intensity bounds the rejection-sampling envelope.
-            let peak = {
-                let d = 1.0 + load.diurnal.map(|d| d.amplitude).unwrap_or(0.0);
-                let s = load
-                    .surges
-                    .iter()
-                    .filter(|s| s.kind == SurgeKind::FlashCrowd)
-                    .map(|s| s.factor)
-                    .fold(1.0, f64::max);
-                d * s
-            };
-            let intensity = |t: u64| -> f64 {
-                let mut f = load.diurnal.map(|d| d.factor(t)).unwrap_or(1.0);
-                for s in &load.surges {
-                    if s.kind == SurgeKind::FlashCrowd && s.active(t) {
-                        f *= s.factor;
-                    }
-                }
-                f
-            };
-            let mut starts: Vec<u64> = Vec::with_capacity(load.flows);
-            while starts.len() < load.flows {
-                let t = rng.gen_range(0..self.horizon_ns.max(1));
-                if rng.gen::<f64>() * peak <= intensity(t) {
-                    starts.push(t);
-                }
-            }
-            starts.sort_unstable();
-            let mut push = |start_ns: u64, size_packets: u64, ddos: bool, id: &mut u64| {
-                let horizon_cap = {
-                    // Arrivals strictly before the horizon.
-                    let span = self.horizon_ns.saturating_sub(start_ns);
-                    if span == 0 {
-                        0
-                    } else {
-                        1 + (span - 1) / interval_ns
-                    }
+            let record = |start_ns: u64, size_packets: u64, ddos: bool, flow_id: u64| {
+                // Arrivals strictly before the horizon.
+                let span = self.horizon_ns.saturating_sub(start_ns);
+                let horizon_cap = if span == 0 {
+                    0
+                } else {
+                    1 + (span - 1) / interval_ns
                 };
-                flows.push(FlowRecord {
+                FlowRecord {
                     chain: ci,
-                    flow_id: *id,
+                    flow_id,
                     start_ns,
                     interval_ns,
                     packets: size_packets.min(horizon_cap),
                     size_packets,
                     ddos,
-                });
-                *id += 1;
+                }
             };
-            let mut id = 0u64;
-            for start in starts {
-                let size = load.size.sample(rng.gen::<f64>());
-                push(start, size, false, &mut id);
+            let mut starts = self.draw_starts(load, &mut rng);
+            starts.sort_unstable();
+            let base = flows.len();
+            let cdf = InverseCdf::new(&load.size);
+            for (id, start) in starts.into_iter().enumerate() {
+                let size = cdf.sample(rng.gen::<f64>());
+                flows.push(record(start, size, false, id as u64));
             }
             // DDoS junk: (factor−1) × the nominal arrival mass of the
             // surge window, all minimum-size flows.
-            for s in &load.surges {
-                if s.kind != SurgeKind::Ddos {
-                    continue;
-                }
-                let share = s.duration_ns as f64 / self.horizon_ns.max(1) as f64;
-                let extra = ((s.factor - 1.0).max(0.0) * load.flows as f64 * share) as usize;
+            let mut id = load.flows as u64;
+            junk.clear();
+            for (s, extra) in self.ddos_surges(load) {
                 for _ in 0..extra {
                     let t = s.start_ns + rng.gen_range(0..s.duration_ns.max(1));
-                    push(
-                        t.min(self.horizon_ns.saturating_sub(1)),
-                        load.size.min_packets,
-                        true,
-                        &mut id,
-                    );
+                    let start = t.min(self.horizon_ns.saturating_sub(1));
+                    junk.push(record(start, load.size.min_packets, true, id));
+                    id += 1;
                 }
             }
+            junk.sort_unstable_by_key(|f| (f.start_ns, f.flow_id));
+            merge_from_back(&mut flows, base, &junk);
         }
-        flows.sort_by_key(|f| (f.chain, f.start_ns, f.flow_id));
-        Scenario {
+        Ok(Scenario {
             horizon_ns: self.horizon_ns,
             n_chains: self.chains.len(),
             flows,
+        })
+    }
+
+    /// Each DDoS surge of `load` with the number of junk flows it adds.
+    fn ddos_surges<'a>(&self, load: &'a ChainLoad) -> impl Iterator<Item = (&'a Surge, usize)> {
+        let horizon = self.horizon_ns.max(1) as f64;
+        load.surges
+            .iter()
+            .filter(|s| s.kind == SurgeKind::Ddos)
+            .map(move |s| {
+                let share = s.duration_ns as f64 / horizon;
+                let extra = ((s.factor - 1.0).max(0.0) * load.flows as f64 * share) as usize;
+                (s, extra)
+            })
+    }
+
+    /// `load.flows` start times (unsorted), rejection-sampled against the
+    /// chain's intensity curve under its peak envelope.
+    ///
+    /// Most candidates are decided without `sin`: `intensity(t)` lies
+    /// within `[lo, hi]`, the diurnal term at `sin = ∓1` times the active
+    /// flash-crowd factors multiplied in `intensity`'s order. Every step
+    /// is monotone under round-to-nearest — `a·s` in `s` for `a ≥ 0`,
+    /// `1 + x` in `x`, `x·f` in `x` for `f > 0` — so `lo ≤ intensity(t)
+    /// ≤ hi` holds exactly in floating point on every valid spec, and a
+    /// draw at or below `lo` (above `hi`) is accepted (rejected) exactly
+    /// as the full evaluation would.
+    fn draw_starts(&self, load: &ChainLoad, rng: &mut StdRng) -> Vec<u64> {
+        let flash: Vec<&Surge> = load
+            .surges
+            .iter()
+            .filter(|s| s.kind == SurgeKind::FlashCrowd)
+            .collect();
+        // Peak intensity bounds the rejection-sampling envelope.
+        let peak = {
+            let d = 1.0 + load.diurnal.map(|d| d.amplitude).unwrap_or(0.0);
+            let s = flash.iter().map(|s| s.factor).fold(1.0, f64::max);
+            d * s
+        };
+        // The diurnal term at sin = ∓1: `a·∓1` is exact, so these are
+        // `1 + a·sin` at its extremes to the last bit.
+        let (lo0, hi0) = match load.diurnal {
+            Some(d) => (1.0 - d.amplitude, 1.0 + d.amplitude),
+            None => (1.0, 1.0),
+        };
+        let intensity = |t: u64| -> f64 {
+            let mut f = load.diurnal.map(|d| d.factor(t)).unwrap_or(1.0);
+            for s in &flash {
+                if s.active(t) {
+                    f *= s.factor;
+                }
+            }
+            f
+        };
+        let mut starts = Vec::with_capacity(load.flows);
+        while starts.len() < load.flows {
+            let t = rng.gen_range(0..self.horizon_ns.max(1));
+            let y = rng.gen::<f64>() * peak;
+            let (mut lo, mut hi) = (lo0, hi0);
+            for s in &flash {
+                if s.active(t) {
+                    lo *= s.factor;
+                    hi *= s.factor;
+                }
+            }
+            if y <= lo || (y <= hi && y <= intensity(t)) {
+                starts.push(t);
+            }
+        }
+        starts
+    }
+}
+
+/// Merge `junk`, sorted by `(start_ns, flow_id)`, into the sorted run
+/// `flows[base..]` of one chain's regular flows, from the back so no
+/// record moves twice. Junk ids follow every regular id, so at equal
+/// `start_ns` a junk flow goes after the regular one.
+fn merge_from_back(flows: &mut Vec<FlowRecord>, base: usize, junk: &[FlowRecord]) {
+    let mut i = flows.len();
+    flows.extend_from_slice(junk);
+    let mut j = junk.len();
+    let mut k = flows.len();
+    while j > 0 {
+        k -= 1;
+        if i > base && junk[j - 1].start_ns < flows[i - 1].start_ns {
+            i -= 1;
+            flows[k] = flows[i];
+        } else {
+            j -= 1;
+            flows[k] = junk[j];
         }
     }
 }
@@ -624,6 +772,364 @@ mod tests {
         assert!(junk
             .iter()
             .all(|f| (2_000_000..7_000_000).contains(&f.start_ns)));
+    }
+
+    /// The inverse CDF as it was written before its constants were
+    /// hoisted: three `powf` per draw.
+    fn sample_reference(d: &FlowSizeDist, u: f64) -> u64 {
+        let l = d.min_packets.max(1) as f64;
+        let h = (d.max_packets.max(d.min_packets.max(1))) as f64;
+        if l >= h {
+            return l as u64;
+        }
+        let la = l.powf(-d.alpha);
+        let ha = h.powf(-d.alpha);
+        let x = (la - u * (la - ha)).powf(-1.0 / d.alpha);
+        (x as u64).clamp(d.min_packets.max(1), d.max_packets)
+    }
+
+    /// `materialize` as it was written before the envelope bounds, the
+    /// presized table and the junk merge: every candidate evaluates
+    /// `intensity`, and the whole table is stable-sorted at the end.
+    fn materialize_reference(spec: &ScenarioSpec) -> Scenario {
+        let mut flows = Vec::new();
+        for (ci, load) in spec.chains.iter().enumerate() {
+            let mut rng =
+                StdRng::seed_from_u64(spec.seed ^ (ci as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let interval_ns = (1e9 / load.flow_rate_pps).max(1.0) as u64;
+            let peak = {
+                let d = 1.0 + load.diurnal.map(|d| d.amplitude).unwrap_or(0.0);
+                let s = load
+                    .surges
+                    .iter()
+                    .filter(|s| s.kind == SurgeKind::FlashCrowd)
+                    .map(|s| s.factor)
+                    .fold(1.0, f64::max);
+                d * s
+            };
+            let intensity = |t: u64| -> f64 {
+                let mut f = load.diurnal.map(|d| d.factor(t)).unwrap_or(1.0);
+                for s in &load.surges {
+                    if s.kind == SurgeKind::FlashCrowd && s.active(t) {
+                        f *= s.factor;
+                    }
+                }
+                f
+            };
+            let mut starts: Vec<u64> = Vec::with_capacity(load.flows);
+            while starts.len() < load.flows {
+                let t = rng.gen_range(0..spec.horizon_ns.max(1));
+                if rng.gen::<f64>() * peak <= intensity(t) {
+                    starts.push(t);
+                }
+            }
+            starts.sort_unstable();
+            let mut push = |start_ns: u64, size_packets: u64, ddos: bool, id: &mut u64| {
+                let horizon_cap = {
+                    let span = spec.horizon_ns.saturating_sub(start_ns);
+                    if span == 0 {
+                        0
+                    } else {
+                        1 + (span - 1) / interval_ns
+                    }
+                };
+                flows.push(FlowRecord {
+                    chain: ci,
+                    flow_id: *id,
+                    start_ns,
+                    interval_ns,
+                    packets: size_packets.min(horizon_cap),
+                    size_packets,
+                    ddos,
+                });
+                *id += 1;
+            };
+            let mut id = 0u64;
+            for start in starts {
+                let size = sample_reference(&load.size, rng.gen::<f64>());
+                push(start, size, false, &mut id);
+            }
+            for s in &load.surges {
+                if s.kind != SurgeKind::Ddos {
+                    continue;
+                }
+                let share = s.duration_ns as f64 / spec.horizon_ns.max(1) as f64;
+                let extra = ((s.factor - 1.0).max(0.0) * load.flows as f64 * share) as usize;
+                for _ in 0..extra {
+                    let t = s.start_ns + rng.gen_range(0..s.duration_ns.max(1));
+                    push(
+                        t.min(spec.horizon_ns.saturating_sub(1)),
+                        load.size.min_packets,
+                        true,
+                        &mut id,
+                    );
+                }
+            }
+        }
+        flows.sort_by_key(|f| (f.chain, f.start_ns, f.flow_id));
+        Scenario {
+            horizon_ns: spec.horizon_ns,
+            n_chains: spec.chains.len(),
+            flows,
+        }
+    }
+
+    #[test]
+    fn inverse_cdf_matches_sample_on_grid() {
+        let dists = [
+            (1.1, 2, 10_000),
+            (1.0, 1, 2_048),
+            (0.5, 0, 5),
+            (3.0, 7, 1_000_000),
+            (1.3, 9, 9),
+            (2.0, 40, 3),
+            (1.1, u64::MAX - 1, u64::MAX),
+        ];
+        let grid = (0..=1_000)
+            .map(|i| i as f64 / 1_000.0)
+            .filter(|&u| u < 1.0)
+            .chain([f64::EPSILON, 0.5 - f64::EPSILON, 1.0 - f64::EPSILON / 2.0]);
+        for (alpha, min_packets, max_packets) in dists {
+            let d = FlowSizeDist {
+                alpha,
+                min_packets,
+                max_packets,
+            };
+            let cdf = InverseCdf::new(&d);
+            for u in grid.clone() {
+                let want = sample_reference(&d, u);
+                assert_eq!(cdf.sample(u), want, "{d:?} at u = {u}");
+                assert_eq!(d.sample(u), want, "{d:?} at u = {u}");
+            }
+        }
+    }
+
+    #[test]
+    fn test_specs_validate() {
+        let mut ddos = spec();
+        ddos.chains[0].surges[0].kind = SurgeKind::Ddos;
+        for sp in [spec(), ddos] {
+            assert_eq!(sp.validate(), Ok(()));
+            assert_eq!(sp.materialize().flows, materialize_reference(&sp).flows);
+        }
+    }
+
+    /// `field` of `spec()`'s chain 0 set to each bad value: refused with
+    /// a typed error naming the field, and `materialize` panics instead
+    /// of spinning.
+    fn assert_rejected(field: &str, bad: &[f64], set: impl Fn(&mut ChainLoad, f64)) {
+        for &value in bad {
+            let mut sp = spec();
+            set(&mut sp.chains[0], value);
+            let err = sp
+                .try_materialize()
+                .expect_err("out-of-domain load accepted");
+            let ScenarioError::InvalidLoad {
+                chain,
+                field: got,
+                value: v,
+            } = err
+            else {
+                panic!("expected InvalidLoad, got {err}");
+            };
+            assert_eq!((chain, got), (0, field));
+            assert!(v == value || (v.is_nan() && value.is_nan()));
+            assert!(err.to_string().contains(field), "{err}");
+            let panicked = std::panic::catch_unwind(|| sp.materialize()).is_err();
+            assert!(panicked, "materialize accepted {field} = {value}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_bad_flow_rate() {
+        assert_rejected(
+            "flow_rate_pps",
+            &[0.0, -1.0, f64::NAN, f64::INFINITY],
+            |l, v| l.flow_rate_pps = v,
+        );
+    }
+
+    #[test]
+    fn validate_rejects_bad_alpha() {
+        assert_rejected(
+            "size.alpha",
+            &[0.0, -1.1, f64::NAN, f64::INFINITY],
+            |l, v| l.size.alpha = v,
+        );
+    }
+
+    #[test]
+    fn validate_rejects_bad_diurnal_amplitude() {
+        // NaN used to hang the rejection sampler; the others leave the
+        // documented [0, 1) (a negative one inverts the curve).
+        assert_rejected(
+            "diurnal.amplitude",
+            &[f64::NAN, -0.1, 1.0, 1.5, f64::INFINITY],
+            |l, v| l.diurnal.as_mut().unwrap().amplitude = v,
+        );
+    }
+
+    #[test]
+    fn validate_rejects_bad_surge_factor() {
+        // A zero flash crowd over the whole horizon used to hang the
+        // rejection sampler; an infinite DDoS factor asks for usize::MAX
+        // junk flows.
+        assert_rejected("surges.factor", &[0.0, -2.0, f64::NAN], |l, v| {
+            l.surges[0].factor = v;
+        });
+        assert_rejected("surges.factor", &[0.0, f64::INFINITY], |l, v| {
+            l.surges = vec![Surge {
+                kind: SurgeKind::FlashCrowd,
+                start_ns: 0,
+                duration_ns: 10_000_000,
+                factor: v,
+            }];
+        });
+        assert_rejected("surges.factor", &[f64::INFINITY, -1.0], |l, v| {
+            l.surges[0].kind = SurgeKind::Ddos;
+            l.surges[0].factor = v;
+        });
+    }
+
+    /// A horizon of a few nanoseconds puts many regular and junk flows on
+    /// the same start: the regular flow, whose id is smaller, goes first.
+    #[test]
+    fn merge_puts_regular_flow_first_at_equal_start() {
+        let mut sp = spec();
+        sp.horizon_ns = 8;
+        sp.chains[0].diurnal = None;
+        sp.chains[0].surges = vec![Surge {
+            kind: SurgeKind::Ddos,
+            start_ns: 0,
+            duration_ns: 8,
+            factor: 2.0,
+        }];
+        let s = sp.materialize();
+        let ties = s
+            .flows
+            .windows(2)
+            .filter(|w| w[0].start_ns == w[1].start_ns && !w[0].ddos && w[1].ddos)
+            .count();
+        assert!(ties > 0, "vacuous: no regular/junk tie");
+        assert!(s
+            .flows
+            .windows(2)
+            .all(|w| (w[0].start_ns, w[0].flow_id) < (w[1].start_ns, w[1].flow_id)));
+        assert_eq!(s.flows, materialize_reference(&sp).flows);
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Raw draws for one chain; [`build`] turns them into a load
+        /// once the horizon is known.
+        type RawChain = (
+            (usize, f64, u8, f64),
+            (u64, bool, u64),
+            (bool, f64, f64),
+            Vec<(bool, u8, f64, f64, bool, f64)>,
+        );
+
+        fn raw_chain() -> impl Strategy<Value = RawChain> {
+            (
+                (0usize..3_001, 1_000.0f64..1e6, 0u8..4, 0.5f64..3.0),
+                (0u64..10, prop::bool::ANY, 0u64..5_000),
+                (prop::bool::ANY, 0.0f64..1.0, 0.0f64..2.0),
+                prop::collection::vec(
+                    (
+                        prop::bool::ANY,
+                        0u8..3,
+                        0.0f64..1.0,
+                        0.0f64..1.0,
+                        prop::bool::ANY,
+                        0.1f64..8.0,
+                    ),
+                    0..=3,
+                ),
+            )
+        }
+
+        fn build(horizon_ns: u64, raw: RawChain) -> ChainLoad {
+            let ((flows, flow_rate_pps, alpha_sel, alpha), (min, point, extra), diurnal, surges) =
+                raw;
+            let (diurnal_on, amplitude, period_frac) = diurnal;
+            ChainLoad {
+                flows,
+                flow_rate_pps,
+                size: FlowSizeDist {
+                    alpha: match alpha_sel {
+                        0 => 1.0,
+                        1 => 3.0,
+                        _ => alpha,
+                    },
+                    min_packets: min,
+                    max_packets: if point { min } else { min + extra },
+                },
+                diurnal: diurnal_on.then(|| Diurnal {
+                    period_ns: ((period_frac * horizon_ns as f64) as u64).max(1),
+                    amplitude,
+                }),
+                surges: surges
+                    .into_iter()
+                    .map(|(ddos, at, start_frac, dur_frac, max_factor, factor)| {
+                        let duration_ns = (dur_frac * horizon_ns as f64) as u64;
+                        Surge {
+                            kind: if ddos {
+                                SurgeKind::Ddos
+                            } else {
+                                SurgeKind::FlashCrowd
+                            },
+                            // From the horizon's start, up to its end, or
+                            // anywhere inside it.
+                            start_ns: match at {
+                                0 => 0,
+                                1 => horizon_ns - duration_ns,
+                                _ => (start_frac * (horizon_ns - duration_ns) as f64) as u64,
+                            },
+                            duration_ns,
+                            factor: if max_factor { 8.0 } else { factor },
+                        }
+                    })
+                    .collect(),
+            }
+        }
+
+        fn any_spec() -> impl Strategy<Value = ScenarioSpec> {
+            (
+                any::<u64>(),
+                (prop::bool::ANY, 1u64..64, 1_000u64..20_000_000),
+                prop::collection::vec(raw_chain(), 1..=3),
+            )
+                .prop_map(|(seed, (tiny, short, long), chains)| {
+                    let horizon_ns = if tiny { short } else { long };
+                    ScenarioSpec {
+                        seed,
+                        horizon_ns,
+                        chains: chains.into_iter().map(|c| build(horizon_ns, c)).collect(),
+                    }
+                })
+        }
+
+        proptest! {
+            #![cases = 160]
+
+            /// The bounded rejection sampler, the hoisted inverse CDF and
+            /// the merged junk flows reproduce the reference's flow table
+            /// record for record.
+            #[test]
+            fn materialize_matches_reference(spec in any_spec()) {
+                prop_assert_eq!(spec.validate(), Ok(()));
+                let got = spec.materialize();
+                let want = materialize_reference(&spec);
+                prop_assert_eq!(got.flows.len(), want.flows.len());
+                for (i, (g, w)) in got.flows.iter().zip(&want.flows).enumerate() {
+                    prop_assert_eq!(g, w, "flow {i} differs on {spec:?}");
+                }
+                prop_assert_eq!(got.horizon_ns, want.horizon_ns);
+                prop_assert_eq!(got.n_chains, want.n_chains);
+            }
+        }
     }
 
     #[test]

@@ -464,14 +464,40 @@ mod tests {
         /// tiny (possibly zero) flow counts, point-mass size
         /// distributions (`min == max`), tail indices straddling the
         /// α = 1 limit of the capped-mean integral, and windows as large
-        /// as (or larger than) the whole horizon.
+        /// as (or larger than) the whole horizon. Diurnal amplitudes and
+        /// surge factors are drawn in and out of their domains — NaN,
+        /// ±∞, zero, negative, an amplitude ≥ 1 — so that some specs
+        /// must be refused.
         fn degenerate_spec() -> impl Strategy<Value = ScenarioSpec> {
+            let odd = |sel: u8, raw: f64| match sel {
+                0 => f64::NAN,
+                1 => 0.0,
+                2 => f64::INFINITY,
+                3 => -raw,
+                _ => raw,
+            };
             (
                 (any::<u64>(), 0usize..60, 1_000.0f64..1e6),
                 (0.5f64..3.0, 1u64..10, 0u64..400, 1_000_000u64..20_000_000),
+                (0u8..16, 0.0f64..1.2, 1u64..20_000_000),
+                prop::collection::vec(
+                    (
+                        prop::bool::ANY,
+                        0.0f64..1.0,
+                        0.0f64..1.0,
+                        0u8..16,
+                        0.0f64..6.0,
+                    ),
+                    0..3,
+                ),
             )
                 .prop_map(
-                    |((seed, flows, rate), (alpha, min_packets, extra, horizon_ns))| ScenarioSpec {
+                    move |(
+                        (seed, flows, rate),
+                        (alpha, min_packets, extra, horizon_ns),
+                        (amp_sel, amplitude, period_ns),
+                        surges,
+                    )| ScenarioSpec {
                         seed,
                         horizon_ns,
                         chains: vec![ChainLoad {
@@ -482,8 +508,23 @@ mod tests {
                                 min_packets,
                                 max_packets: min_packets + extra,
                             },
-                            diurnal: None,
-                            surges: vec![],
+                            diurnal: (amp_sel > 0).then(|| Diurnal {
+                                period_ns,
+                                amplitude: odd(amp_sel - 1, amplitude),
+                            }),
+                            surges: surges
+                                .into_iter()
+                                .map(|(ddos, start, duration, factor_sel, factor)| Surge {
+                                    kind: if ddos {
+                                        SurgeKind::Ddos
+                                    } else {
+                                        SurgeKind::FlashCrowd
+                                    },
+                                    start_ns: (start * horizon_ns as f64) as u64,
+                                    duration_ns: (duration * horizon_ns as f64) as u64,
+                                    factor: odd(factor_sel, factor),
+                                })
+                                .collect(),
                         }],
                     },
                 )
@@ -535,13 +576,22 @@ mod tests {
             /// integral's removable singularity, a window spanning the
             /// whole horizon — must produce finite profiles and either
             /// validate or fail with a *typed* error whose display
-            /// formats. No panic, no NaN, anywhere in the pipeline.
+            /// formats. No panic, no NaN, anywhere in the pipeline. A
+            /// spec outside its domain is refused by `try_materialize`
+            /// before any draw, never left spinning.
             #[test]
             fn validation_pipeline_total_on_degenerate_specs(
                 spec in degenerate_spec(),
                 window_ns in 500_000u64..30_000_000,
             ) {
-                let scenario = spec.materialize();
+                let scenario = match spec.try_materialize() {
+                    Ok(scenario) => scenario,
+                    Err(err) => {
+                        prop_assert!(spec.validate().is_err());
+                        prop_assert!(!err.to_string().is_empty());
+                        return Ok(());
+                    }
+                };
                 let declared = TrafficProfile::declared(&spec, 0, window_ns);
                 let observed =
                     TrafficProfile::observed(&scenario, 0, window_ns, rate_trim(&spec, 0));

@@ -302,7 +302,9 @@ fn invalid_capacity_is_a_typed_error() {
                 }),
             )
             .expect_err("bad capacity must be refused");
-        let lemur_dataplane::ScenarioError::InvalidCapacity { chain, value } = err;
+        let lemur_dataplane::ScenarioError::InvalidCapacity { chain, value } = err else {
+            panic!("expected InvalidCapacity, got {err}");
+        };
         assert_eq!(chain, 0);
         assert!(value == bad || (value.is_nan() && bad.is_nan()));
     }
