@@ -34,10 +34,10 @@ fn bench_nfs(c: &mut Criterion) {
     group.finish();
 }
 
-/// Encrypt, Decrypt and Dedup — the NFs whose cost is per byte — at the two
-/// frame sizes the performance ledger runs (64 B and 1500 B on the wire).
-/// Decrypt is fed frames Encrypt produced, so it deciphers rather than
-/// drops.
+/// Encrypt, Decrypt, FastEncrypt and Dedup — the NFs whose cost is per byte
+/// — at the two frame sizes the performance ledger runs (64 B and 1500 B on
+/// the wire). Decrypt is fed frames Encrypt produced, so it deciphers
+/// rather than drops.
 fn bench_per_byte_nfs(c: &mut Criterion) {
     let ctx = NfCtx { now_ns: 0 };
     let params = NfParams::new();
@@ -50,7 +50,12 @@ fn bench_per_byte_nfs(c: &mut Criterion) {
             let _ = enc.process(&ctx, pkt);
         }
         group.throughput(Throughput::Elements(plain.len() as u64));
-        for kind in [NfKind::Encrypt, NfKind::Decrypt, NfKind::Dedup] {
+        for kind in [
+            NfKind::Encrypt,
+            NfKind::Decrypt,
+            NfKind::FastEncrypt,
+            NfKind::Dedup,
+        ] {
             let traffic = if kind == NfKind::Decrypt {
                 &encrypted
             } else {
@@ -112,13 +117,19 @@ fn bench_crypto(c: &mut Criterion) {
             );
         });
     }
-    group.bench_function("chacha20", |b| {
-        b.iter_batched(
-            || data.clone(),
-            |mut d| chacha.apply(1, &mut d),
-            criterion::BatchSize::SmallInput,
-        );
-    });
+    // Both ChaCha bodies likewise: the scalar one pinned, and AVX2 where
+    // `ChaCha20::new` finds it. The keystream is XORed into one buffer over
+    // and over.
+    let scalar = ChaCha20::scalar_only(&[7u8; 32], &[1u8; 12]);
+    for (name, cipher) in [("wide", &chacha), ("scalar", &scalar)] {
+        if name == "wide" && !cipher.is_wide() {
+            continue;
+        }
+        let mut buf = data.clone();
+        group.bench_function(BenchmarkId::new("chacha20", name), |b| {
+            b.iter(|| cipher.apply(1, &mut buf));
+        });
+    }
     group.finish();
 }
 

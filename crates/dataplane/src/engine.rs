@@ -155,6 +155,15 @@ pub enum ScenarioError {
         field: &'static str,
         value: f64,
     },
+    /// Generating `chains[chain]` would take more work than
+    /// `ScenarioSpec::validate` allows: `expected` units of `what` against
+    /// a fixed `budget`.
+    OverBudget {
+        chain: usize,
+        what: &'static str,
+        expected: f64,
+        budget: f64,
+    },
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -172,6 +181,15 @@ impl std::fmt::Display for ScenarioError {
                 f,
                 "chains[{chain}].{field} = {value} is outside its domain \
                  (amplitude in [0, 1); factors, α and rates finite and > 0)"
+            ),
+            ScenarioError::OverBudget {
+                chain,
+                what,
+                expected,
+                budget,
+            } => write!(
+                f,
+                "chains[{chain}] needs {expected:.3e} {what}, over the fixed budget of {budget}"
             ),
         }
     }

@@ -102,6 +102,18 @@ impl Diurnal {
         let phase = t_ns as f64 / self.period_ns.max(1) as f64;
         1.0 + self.amplitude * (phase * std::f64::consts::TAU).sin()
     }
+
+    /// `∫ factor(t) dt` over `[a, b)`, in closed form: `(b − a) +
+    /// amplitude·P/2π · (cos 2πa/P − cos 2πb/P)`. Held within the bounds
+    /// the integrand cannot leave, since `cos` of a phase far from zero is
+    /// coarse.
+    fn integral(&self, a: u64, b: u64) -> f64 {
+        let len = (b - a) as f64;
+        let period = self.period_ns.max(1) as f64;
+        let cos = |t: u64| (t as f64 / period * std::f64::consts::TAU).cos();
+        let exact = len + self.amplitude * period / std::f64::consts::TAU * (cos(a) - cos(b));
+        exact.clamp((1.0 - self.amplitude) * len, (1.0 + self.amplitude) * len)
+    }
 }
 
 /// What kind of surge a [`Surge`] injects.
@@ -195,14 +207,48 @@ pub struct Scenario {
     pub flows: Vec<FlowRecord>,
 }
 
+/// Most rejection-sampler candidates [`ScenarioSpec::validate`] lets a
+/// chain draw per accepted flow start, in expectation: ≈ 40 µs of sampling
+/// per flow at ≈ 10 ns a candidate. `million-flow`'s chains need ≈ 3.2.
+const MAX_CANDIDATES_PER_FLOW: f64 = 4096.0;
+
+/// Most DDoS junk flows [`ScenarioSpec::validate`] lets a spec add over all
+/// its chains: ≈ 0.9 GiB of [`FlowRecord`]s, over 100× the 125 k junk flows
+/// of `million-flow`.
+const MAX_JUNK_FLOWS: usize = 1 << 24;
+
+/// The rejection sampler's envelope: the diurnal peak times the largest
+/// flash-crowd factor (at least 1).
+fn envelope(load: &ChainLoad) -> f64 {
+    let d = 1.0 + load.diurnal.map(|d| d.amplitude).unwrap_or(0.0);
+    let s = flash_crowds(load).map(|s| s.factor).fold(1.0, f64::max);
+    d * s
+}
+
+fn flash_crowds(load: &ChainLoad) -> impl Iterator<Item = &Surge> {
+    load.surges
+        .iter()
+        .filter(|s| s.kind == SurgeKind::FlashCrowd)
+}
+
 impl ScenarioSpec {
     /// Reject loads outside their documented domains before any draw: a
     /// diurnal amplitude outside `[0, 1)`, and a surge factor, tail index
     /// α or per-flow rate that is not finite and positive. A NaN or
     /// all-zero intensity envelope would otherwise leave the rejection
     /// sampler spinning forever, and the rest would draw nonsense.
+    ///
+    /// Then bound the work generation would do, against two fixed
+    /// budgets, with [`ScenarioError::OverBudget`]: the rejection
+    /// sampler's expected candidates per flow (`expected_candidates`, at
+    /// most `MAX_CANDIDATES_PER_FLOW`), and the DDoS junk flows of all
+    /// chains together (at most `MAX_JUNK_FLOWS`, compared before any
+    /// truncating cast and summed with checked arithmetic). A tiny
+    /// flash-crowd factor would otherwise slow the sampler in proportion,
+    /// and a huge DDoS factor ask for more flow records than memory holds.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         let positive = |v: f64| v.is_finite() && v > 0.0;
+        let mut junk = 0usize;
         for (chain, load) in self.chains.iter().enumerate() {
             let bad = |field: &'static str, value: f64| {
                 Err(ScenarioError::InvalidLoad {
@@ -225,8 +271,67 @@ impl ScenarioSpec {
             if let Some(s) = load.surges.iter().find(|s| !positive(s.factor)) {
                 return bad("surges.factor", s.factor);
             }
+            let over = |what: &'static str, expected: f64, budget: f64| ScenarioError::OverBudget {
+                chain,
+                what,
+                expected,
+                budget,
+            };
+            let candidates = self.expected_candidates(load);
+            if candidates.is_nan() || candidates > MAX_CANDIDATES_PER_FLOW {
+                return Err(over(
+                    "rejection candidates per flow",
+                    candidates,
+                    MAX_CANDIDATES_PER_FLOW,
+                ));
+            }
+            for (_, extra) in self.ddos_surges(load) {
+                junk = Some(extra)
+                    .filter(|&n| n <= MAX_JUNK_FLOWS as f64)
+                    .and_then(|n| junk.checked_add(n as usize))
+                    .filter(|&total| total <= MAX_JUNK_FLOWS)
+                    .ok_or_else(|| {
+                        over(
+                            "DDoS junk flows",
+                            junk as f64 + extra,
+                            MAX_JUNK_FLOWS as f64,
+                        )
+                    })?;
+            }
         }
         Ok(())
+    }
+
+    /// Expected rejection-sampler candidates per accepted start of `load`:
+    /// the envelope over the horizon mean of what a candidate is accepted
+    /// under, `min(intensity, envelope)`. Between consecutive flash-crowd
+    /// boundaries the product of active factors is constant and the
+    /// diurnal term integrates in closed form. Capping that product at the
+    /// largest single factor keeps each piece under the envelope and never
+    /// over the intensity, so the figure never reads low.
+    fn expected_candidates(&self, load: &ChainLoad) -> f64 {
+        let horizon = self.horizon_ns.max(1);
+        let top = flash_crowds(load).map(|s| s.factor).fold(1.0, f64::max);
+        let mut cuts: Vec<u64> = flash_crowds(load)
+            .flat_map(|s| [s.start_ns, s.start_ns.saturating_add(s.duration_ns)])
+            .chain([0, horizon])
+            .filter(|&t| t <= horizon)
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mass: f64 = cuts
+            .windows(2)
+            .map(|w| {
+                let (a, b) = (w[0], w[1]);
+                let product: f64 = flash_crowds(load)
+                    .filter(|s| s.active(a))
+                    .map(|s| s.factor)
+                    .product();
+                let diurnal = load.diurnal.map_or((b - a) as f64, |d| d.integral(a, b));
+                product.min(top) * diurnal
+            })
+            .sum();
+        envelope(load) * horizon as f64 / mass
     }
 
     /// [`ScenarioSpec::try_materialize`] for a spec known to be valid.
@@ -255,7 +360,13 @@ impl ScenarioSpec {
         let total: usize = self
             .chains
             .iter()
-            .map(|load| load.flows + self.ddos_surges(load).map(|(_, n)| n).sum::<usize>())
+            .map(|load| {
+                load.flows
+                    + self
+                        .ddos_surges(load)
+                        .map(|(_, n)| n as usize)
+                        .sum::<usize>()
+            })
             .sum();
         let mut flows = Vec::with_capacity(total);
         let mut junk = Vec::new();
@@ -294,7 +405,7 @@ impl ScenarioSpec {
             let mut id = load.flows as u64;
             junk.clear();
             for (s, extra) in self.ddos_surges(load) {
-                for _ in 0..extra {
+                for _ in 0..extra as usize {
                     let t = s.start_ns + rng.gen_range(0..s.duration_ns.max(1));
                     let start = t.min(self.horizon_ns.saturating_sub(1));
                     junk.push(record(start, load.size.min_packets, true, id));
@@ -311,16 +422,16 @@ impl ScenarioSpec {
         })
     }
 
-    /// Each DDoS surge of `load` with the number of junk flows it adds.
-    fn ddos_surges<'a>(&self, load: &'a ChainLoad) -> impl Iterator<Item = (&'a Surge, usize)> {
+    /// Each DDoS surge of `load` with the number of junk flows it adds,
+    /// before the truncating cast to a count.
+    fn ddos_surges<'a>(&self, load: &'a ChainLoad) -> impl Iterator<Item = (&'a Surge, f64)> {
         let horizon = self.horizon_ns.max(1) as f64;
         load.surges
             .iter()
             .filter(|s| s.kind == SurgeKind::Ddos)
             .map(move |s| {
                 let share = s.duration_ns as f64 / horizon;
-                let extra = ((s.factor - 1.0).max(0.0) * load.flows as f64 * share) as usize;
-                (s, extra)
+                (s, (s.factor - 1.0).max(0.0) * load.flows as f64 * share)
             })
     }
 
@@ -336,17 +447,8 @@ impl ScenarioSpec {
     /// draw at or below `lo` (above `hi`) is accepted (rejected) exactly
     /// as the full evaluation would.
     fn draw_starts(&self, load: &ChainLoad, rng: &mut StdRng) -> Vec<u64> {
-        let flash: Vec<&Surge> = load
-            .surges
-            .iter()
-            .filter(|s| s.kind == SurgeKind::FlashCrowd)
-            .collect();
-        // Peak intensity bounds the rejection-sampling envelope.
-        let peak = {
-            let d = 1.0 + load.diurnal.map(|d| d.amplitude).unwrap_or(0.0);
-            let s = flash.iter().map(|s| s.factor).fold(1.0, f64::max);
-            d * s
-        };
+        let flash: Vec<&Surge> = flash_crowds(load).collect();
+        let peak = envelope(load);
         // The diurnal term at sin = ∓1: `a·∓1` is exact, so these are
         // `1 + a·sin` at its extremes to the last bit.
         let (lo0, hi0) = match load.diurnal {
@@ -989,6 +1091,147 @@ mod tests {
             l.surges[0].kind = SurgeKind::Ddos;
             l.surges[0].factor = v;
         });
+    }
+
+    /// `f` on a thread of its own; fails if it has not answered in 5 s.
+    fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(std::time::Duration::from_secs(5))
+            .expect("still running after 5 s")
+    }
+
+    /// Specs inside every field's domain whose generation used to run
+    /// unbounded — a 1e-9 flash crowd over the whole horizon kept the
+    /// sampler drawing ≈ 1e9 candidates per flow, a 1e30 DDoS saturated
+    /// the junk count and wrapped the table size, and a 1e9 DDoS aborted
+    /// on a 560 GB allocation — are refused over budget, at once.
+    #[test]
+    fn validate_bounds_generation_work() {
+        let tiny = |surge: Surge| ScenarioSpec {
+            seed: 1,
+            horizon_ns: 1_000_000,
+            chains: vec![ChainLoad {
+                flows: 10,
+                surges: vec![surge],
+                ..spec().chains[0].clone()
+            }],
+        };
+        let whole = |kind, factor| Surge {
+            kind,
+            start_ns: 0,
+            duration_ns: 1_000_000,
+            factor,
+        };
+        let cases = [
+            (
+                whole(SurgeKind::FlashCrowd, 1e-9),
+                "rejection candidates per flow",
+            ),
+            (whole(SurgeKind::Ddos, 1e30), "DDoS junk flows"),
+            (whole(SurgeKind::Ddos, 1e9), "DDoS junk flows"),
+        ];
+        for (surge, what) in cases {
+            let sp = tiny(surge);
+            let err = within_watchdog(move || sp.try_materialize().map(|s| s.flows.len()))
+                .expect_err("over-budget spec accepted");
+            let ScenarioError::OverBudget {
+                chain,
+                what: got,
+                expected,
+                budget,
+            } = err
+            else {
+                panic!("expected OverBudget, got {err}");
+            };
+            assert_eq!((chain, got), (0, what), "{surge:?}");
+            assert!(expected > budget, "{err}");
+            assert!(err.to_string().contains(what), "{err}");
+        }
+        // Just inside the budgets both ways: it validates, and draws.
+        let mut sp = tiny(whole(SurgeKind::FlashCrowd, 1.0 / 2048.0));
+        sp.chains[0].diurnal = None;
+        assert!((sp.expected_candidates(&sp.chains[0]) - 2048.0).abs() < 1e-6);
+        assert_eq!(within_watchdog(move || sp.materialize().flows.len()), 10);
+        // (Validated only: drawing this many junk flows takes ≈ 0.9 GiB.)
+        let sp = tiny(whole(SurgeKind::Ddos, 1.0 + MAX_JUNK_FLOWS as f64 / 10.5));
+        assert_eq!(sp.validate(), Ok(()));
+        let mut two = tiny(whole(
+            SurgeKind::Ddos,
+            1.0 + MAX_JUNK_FLOWS as f64 / 20.0 + 1.0,
+        ));
+        two.chains.push(two.chains[0].clone());
+        assert!(matches!(
+            two.validate(),
+            Err(ScenarioError::OverBudget { chain: 1, .. })
+        ));
+    }
+
+    /// The closed-form estimate on `million-flow`'s shape (diurnal period =
+    /// horizon, a ×3 flash crowd over the fifth eighth, a ×2 DDoS): ≈ 3.2
+    /// candidates per flow, as a fine Riemann sum of `min(intensity,
+    /// envelope)` gives it.
+    #[test]
+    fn expected_candidates_match_riemann_sum() {
+        let horizon_ns = 25_000_000u64;
+        let mut sp = spec();
+        sp.horizon_ns = horizon_ns;
+        let load = &mut sp.chains[0];
+        load.diurnal = Some(Diurnal {
+            period_ns: horizon_ns,
+            amplitude: 0.3,
+        });
+        load.surges = vec![
+            Surge {
+                kind: SurgeKind::FlashCrowd,
+                start_ns: horizon_ns / 2,
+                duration_ns: horizon_ns / 8,
+                factor: 3.0,
+            },
+            Surge {
+                kind: SurgeKind::Ddos,
+                start_ns: horizon_ns * 5 / 8,
+                duration_ns: horizon_ns / 8,
+                factor: 2.0,
+            },
+        ];
+        let riemann = |load: &ChainLoad| {
+            let steps = 200_000u64;
+            let peak = envelope(load);
+            let mean = (0..steps)
+                .map(|i| {
+                    let t = i * horizon_ns / steps;
+                    let mut f = load.diurnal.map_or(1.0, |d| d.factor(t));
+                    for s in flash_crowds(load).filter(|s| s.active(t)) {
+                        f *= s.factor;
+                    }
+                    f.min(peak)
+                })
+                .sum::<f64>()
+                / steps as f64;
+            peak / mean
+        };
+        let closed = sp.expected_candidates(&sp.chains[0]);
+        assert!((3.1..3.3).contains(&closed), "{closed}");
+        assert!(
+            (closed / riemann(&sp.chains[0]) - 1.0).abs() < 1e-3,
+            "{closed}"
+        );
+        // Flash crowds, one below 1 and two that overlap past the envelope:
+        // the capped product only ever reads the estimate high.
+        sp.chains[0].surges = [(0.1, 0, 2), (4.0, 2, 5), (5.0, 4, 8)]
+            .map(|(factor, from, to)| Surge {
+                kind: SurgeKind::FlashCrowd,
+                start_ns: horizon_ns * from / 8,
+                duration_ns: horizon_ns * (to - from) / 8,
+                factor,
+            })
+            .to_vec();
+        let (closed, sum) = (
+            sp.expected_candidates(&sp.chains[0]),
+            riemann(&sp.chains[0]),
+        );
+        assert!(closed >= sum * (1.0 - 1e-3), "{closed} vs {sum}");
     }
 
     /// A horizon of a few nanoseconds puts many regular and junk flows on

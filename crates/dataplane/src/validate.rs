@@ -467,13 +467,18 @@ mod tests {
         /// as (or larger than) the whole horizon. Diurnal amplitudes and
         /// surge factors are drawn in and out of their domains — NaN,
         /// ±∞, zero, negative, an amplitude ≥ 1 — so that some specs
-        /// must be refused.
+        /// must be refused; and in their domains but at the scale of
+        /// 1e-9 or 1e30, where a flash crowd starves the rejection
+        /// sampler and a DDoS asks for more junk flows than memory holds,
+        /// so that some must be refused over budget.
         fn degenerate_spec() -> impl Strategy<Value = ScenarioSpec> {
             let odd = |sel: u8, raw: f64| match sel {
                 0 => f64::NAN,
                 1 => 0.0,
                 2 => f64::INFINITY,
                 3 => -raw,
+                4 => raw * 1e-9,
+                5 => raw * 1e30,
                 _ => raw,
             };
             (
@@ -483,6 +488,7 @@ mod tests {
                 prop::collection::vec(
                     (
                         prop::bool::ANY,
+                        0u8..4,
                         0.0f64..1.0,
                         0.0f64..1.0,
                         0u8..16,
@@ -514,15 +520,23 @@ mod tests {
                             }),
                             surges: surges
                                 .into_iter()
-                                .map(|(ddos, start, duration, factor_sel, factor)| Surge {
-                                    kind: if ddos {
-                                        SurgeKind::Ddos
+                                .map(|(ddos, at, start, duration, factor_sel, factor)| {
+                                    // One in four spans the whole horizon.
+                                    let (start, duration) = if at == 0 {
+                                        (0.0, 1.0)
                                     } else {
-                                        SurgeKind::FlashCrowd
-                                    },
-                                    start_ns: (start * horizon_ns as f64) as u64,
-                                    duration_ns: (duration * horizon_ns as f64) as u64,
-                                    factor: odd(factor_sel, factor),
+                                        (start, duration)
+                                    };
+                                    Surge {
+                                        kind: if ddos {
+                                            SurgeKind::Ddos
+                                        } else {
+                                            SurgeKind::FlashCrowd
+                                        },
+                                        start_ns: (start * horizon_ns as f64) as u64,
+                                        duration_ns: (duration * horizon_ns as f64) as u64,
+                                        factor: odd(factor_sel, factor),
+                                    }
                                 })
                                 .collect(),
                         }],
@@ -538,6 +552,7 @@ mod tests {
         }
 
         proptest! {
+            #![cases = 1024]
             /// The Hill estimator must answer every input with `None` or
             /// a finite positive estimate — never a panic, NaN, or ±∞.
             /// The generator covers the degenerate shapes directly:
@@ -577,8 +592,9 @@ mod tests {
             /// whole horizon — must produce finite profiles and either
             /// validate or fail with a *typed* error whose display
             /// formats. No panic, no NaN, anywhere in the pipeline. A
-            /// spec outside its domain is refused by `try_materialize`
-            /// before any draw, never left spinning.
+            /// spec outside its domain, or over the generation budget, is
+            /// refused by `try_materialize` before any draw, never left
+            /// spinning or allocating.
             #[test]
             fn validation_pipeline_total_on_degenerate_specs(
                 spec in degenerate_spec(),
