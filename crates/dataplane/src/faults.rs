@@ -8,6 +8,7 @@
 
 use std::collections::BTreeSet;
 
+use crate::engine::PacketSource;
 use lemur_placer::Topology;
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -629,6 +630,54 @@ impl FaultState {
 
     pub fn link_is_up(&self, server: usize) -> bool {
         self.link_up.get(server).copied().unwrap_or(true)
+    }
+
+    /// Apply one fault-plan event. Two kinds act on the run rather than on
+    /// this state: a profile drift scales a subgroup's cycle cost, a
+    /// traffic surge a chain's offered rate. Indices the run does not have
+    /// are ignored.
+    pub fn apply(
+        &mut self,
+        kind: &FaultKind,
+        subgroup_cycles: &mut [f64],
+        sources: &mut [PacketSource],
+    ) {
+        match *kind {
+            FaultKind::LinkDown { server } => {
+                if let Some(up) = self.link_up.get_mut(server) {
+                    *up = false;
+                }
+            }
+            FaultKind::LinkUp { server } => {
+                if let Some(up) = self.link_up.get_mut(server) {
+                    *up = true;
+                }
+            }
+            FaultKind::CoreFail { server, core } => {
+                self.failed_cores.insert((server, core));
+            }
+            FaultKind::NfCrash { subgroup } => {
+                self.crashed_subgroups.insert(subgroup);
+            }
+            FaultKind::NfRecover { subgroup } => {
+                self.crashed_subgroups.remove(&subgroup);
+            }
+            FaultKind::ProfileDrift { subgroup, factor } => {
+                if let Some(c) = subgroup_cycles.get_mut(subgroup) {
+                    *c *= factor;
+                }
+            }
+            FaultKind::TrafficSurge { chain, factor } => {
+                if let Some(src) = sources.get_mut(chain) {
+                    src.set_rate_factor(factor);
+                }
+            }
+            FaultKind::MigrationFault { fault } => {
+                // Arms the next epoch swap; nothing happens to
+                // steady-state traffic now.
+                self.armed_migration_faults.push(fault);
+            }
+        }
     }
 }
 

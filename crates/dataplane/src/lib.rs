@@ -20,6 +20,8 @@
 //! can slightly exceed the Placer's conservative *prediction* — the same
 //! effect the paper reports (§5.2 "Predictions are conservative").
 
+#![warn(clippy::too_many_lines)]
+
 pub mod engine;
 pub mod faults;
 pub mod flowsim;
