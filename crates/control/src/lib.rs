@@ -40,15 +40,18 @@
 //! * **Probation**: a fresh epoch must survive `probation_windows` clean
 //!   windows before it is promoted to last-known-good; a violation during
 //!   probation stages a *rollback* to the previous last-known-good.
-//! * **Backoff** is exponential with deterministic seeded jitter;
-//!   exhausting `max_attempts` parks the supervisor in
-//!   [`SupervisorState::GracefulDegraded`] (serve what still works, stop
-//!   churning).
+//! * **Backoff** is the shared [`retry::Backoff`]: exponential with
+//!   deterministic seeded jitter; exhausting `max_attempts` parks the
+//!   supervisor in [`SupervisorState::GracefulDegraded`] (serve what
+//!   still works, stop churning).
 //! * **Flap damping**: a link that comes back up is not trusted until it
 //!   stays up for `hold_down_ns`, so a flapping link cannot drag chains
 //!   back and forth.
 
+#![warn(clippy::too_many_lines)]
+
 pub mod chaos;
+pub mod retry;
 pub mod surge;
 pub mod wal;
 
@@ -63,10 +66,9 @@ use lemur_metacompiler::{compile_repair, Deployment};
 use lemur_placer::corealloc::CoreStrategy;
 use lemur_placer::oracle::StageOracle;
 use lemur_placer::placement::{Assignment, EvaluatedPlacement, PlacementProblem};
-use lemur_placer::repair_assignment;
 use lemur_placer::topology::ResourceMask;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use lemur_placer::{repair_assignment, RepairResult};
+use retry::{Backoff, BackoffPolicy};
 use surge::{SurgeClass, SurgeDetector};
 use wal::{DecisionLog, WalRecord};
 
@@ -79,7 +81,7 @@ pub struct SupervisorConfig {
     pub drain_ns: u64,
     /// How long a recovered link must stay up before it is trusted again.
     pub hold_down_ns: u64,
-    /// First backoff interval; doubles per failed attempt (capped shift).
+    /// First backoff interval; doubles per failed attempt, up to 1024×.
     pub backoff_base_ns: u64,
     /// Failed replan attempts tolerated before giving up
     /// ([`SupervisorState::GracefulDegraded`]).
@@ -213,6 +215,16 @@ impl SupervisorEvent {
             | SupervisorEvent::LadderUnwound { at_ns, .. } => *at_ns,
         }
     }
+
+    /// A ladder step on `rung`: `LadderEscalated` going up, else
+    /// `LadderUnwound`.
+    fn ladder(at_ns: u64, up: bool, rung: u8, chain: Option<usize>) -> SupervisorEvent {
+        if up {
+            SupervisorEvent::LadderEscalated { at_ns, rung, chain }
+        } else {
+            SupervisorEvent::LadderUnwound { at_ns, rung, chain }
+        }
+    }
 }
 
 /// Why a replan was kicked off — changes what a no-op candidate means.
@@ -237,6 +249,29 @@ enum LadderDelta {
     Restore(usize),
     /// The staged epoch is a scale-out re-placement of the survivors.
     ScaleOut,
+}
+
+impl LadderDelta {
+    /// The ladder event journaled when this delta is staged.
+    fn event(self, at_ns: u64) -> SupervisorEvent {
+        match self {
+            LadderDelta::Shed(c) => SupervisorEvent::ladder(at_ns, true, 2, Some(c)),
+            LadderDelta::Restore(c) => SupervisorEvent::ladder(at_ns, false, 2, Some(c)),
+            LadderDelta::ScaleOut => SupervisorEvent::ladder(at_ns, true, 3, None),
+        }
+    }
+}
+
+/// Why an epoch is staged: what its intent journals, and what its commit
+/// does to the ladder.
+#[derive(Clone, Copy)]
+enum Staging<'s> {
+    /// A repair; the new epoch refuses `shed`.
+    Repair { shed: &'s [usize] },
+    /// A return to last-known-good.
+    Rollback,
+    /// A ladder rung: shed, restore, or scale out.
+    Ladder(LadderDelta),
 }
 
 /// Bookkeeping for a staged-but-not-yet-committed configuration.
@@ -274,12 +309,12 @@ pub struct Supervisor<'a> {
 
     state: SupervisorState,
     streak: u32,
-    attempts: u32,
+    /// Failed-replan schedule; its attempt count is the episode's.
+    retry: Backoff,
     /// Set when the mask shrank (hold-down expiry); prompts an
     /// opportunistic re-admission replan.
     improve_pending: bool,
     pending: Option<PendingCommit>,
-    rng: StdRng,
     events: Vec<SupervisorEvent>,
     /// Write-ahead decision log: every intent precedes its commit, so a
     /// crash at any point replays to a consistent state.
@@ -335,10 +370,18 @@ impl<'a> Supervisor<'a> {
             link_trust_at: BTreeMap::new(),
             state: SupervisorState::Converged,
             streak: 0,
-            attempts: 0,
+            retry: Backoff::new(
+                BackoffPolicy {
+                    base_ns: cfg.backoff_base_ns,
+                    cap_ns: cfg.backoff_base_ns.saturating_mul(1 << 10),
+                    max_attempts: cfg.max_attempts,
+                },
+                // `Backoff::new` folds in its own salt; cancel it so the
+                // jitter stream is the one seeded from `seed ^ 0x5157_e501`.
+                cfg.seed ^ 0x5157_e501 ^ 0xb0ff_0ff5,
+            ),
             improve_pending: false,
             pending: None,
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0x5157_e501),
             events: Vec::new(),
             wal: DecisionLog::new(),
             surge: None,
@@ -380,7 +423,7 @@ impl<'a> Supervisor<'a> {
 
     /// Failed replan attempts since the last promotion.
     pub fn attempts(&self) -> u32 {
-        self.attempts
+        self.retry.attempts()
     }
 
     /// Violation-triggered replans actually attempted over the run.
@@ -458,21 +501,21 @@ impl<'a> Supervisor<'a> {
     }
 
     fn backoff(&mut self, now: u64) -> ControlAction {
-        self.attempts += 1;
-        if self.attempts > self.cfg.max_attempts {
-            self.state = SupervisorState::GracefulDegraded;
-            self.events.push(SupervisorEvent::Degraded { at_ns: now });
-            return ControlAction::Continue;
+        match self.retry.next_delay() {
+            Some(delay) => {
+                let until_ns = now.saturating_add(delay);
+                self.state = SupervisorState::Backoff { until_ns };
+                self.events.push(SupervisorEvent::BackedOff {
+                    at_ns: now,
+                    until_ns,
+                    attempt: self.retry.attempts(),
+                });
+            }
+            None => {
+                self.state = SupervisorState::GracefulDegraded;
+                self.events.push(SupervisorEvent::Degraded { at_ns: now });
+            }
         }
-        let base = self.cfg.backoff_base_ns << (self.attempts - 1).min(10);
-        let jitter = self.rng.gen_range(0..base / 2 + 1);
-        let until_ns = now + base + jitter;
-        self.state = SupervisorState::Backoff { until_ns };
-        self.events.push(SupervisorEvent::BackedOff {
-            at_ns: now,
-            until_ns,
-            attempt: self.attempts,
-        });
         ControlAction::Continue
     }
 
@@ -488,6 +531,101 @@ impl<'a> Supervisor<'a> {
         (admitted, slos)
     }
 
+    /// The `kept` chains (original indices, ascending) on the fault-masked
+    /// topology: the problem every candidate epoch is placed in.
+    fn sub_problem(&self, kept: &[usize]) -> PlacementProblem {
+        PlacementProblem {
+            chains: kept
+                .iter()
+                .map(|&c| self.problem.chains[c].clone())
+                .collect(),
+            topology: self.problem.topology.degraded(self.mask()),
+            profiles: self.problem.profiles.clone(),
+        }
+    }
+
+    /// Compile `placement` (chain `i` is original chain `kept[i]`), pre-
+    /// build its epoch, journal the intent and hand the engine a
+    /// two-phase commit. `None` if the candidate does not compile or
+    /// build; then nothing is journaled and no state changes.
+    fn stage(
+        &mut self,
+        now: u64,
+        kept: &[usize],
+        sub: &PlacementProblem,
+        placement: &EvaluatedPlacement,
+        why: Staging<'_>,
+    ) -> Option<ControlAction> {
+        let (rollback, ladder, shed) = match why {
+            Staging::Repair { shed } => (false, None, shed.to_vec()),
+            Staging::Rollback => (true, None, Vec::new()),
+            Staging::Ladder(LadderDelta::Shed(c)) => (false, Some(LadderDelta::Shed(c)), vec![c]),
+            Staging::Ladder(delta) => (false, Some(delta), Vec::new()),
+        };
+        let bases: Vec<u32> = kept.iter().map(|&c| self.entry_spi[c]).collect();
+        let deployment = compile_repair(sub, placement, &bases).ok()?;
+        let (admitted, slos) = self.admission_vectors(kept);
+        let staged =
+            StagedConfig::build(sub, placement, deployment, admitted.clone(), slos, rollback)
+                .ok()?;
+
+        // Moved nodes as `RepairResult::moved_nodes` counts them: every
+        // node whose platform changes, plus every node of a shed chain.
+        // Shed chains keep their stale entry as a re-admission hint.
+        let mut moved: usize = shed.iter().map(|&c| self.current_assignment[c].len()).sum();
+        let mut assignment = self.current_assignment.clone();
+        for (i, &c) in kept.iter().enumerate() {
+            let nodes = &placement.assignment[i];
+            moved += nodes
+                .iter()
+                .filter(|&(node, platform)| assignment[c].get(node) != Some(platform))
+                .count();
+            assignment[c] = nodes.clone();
+        }
+        self.pending = Some(PendingCommit {
+            assignment,
+            admitted,
+            ladder,
+        });
+        self.state = SupervisorState::Draining;
+        // WAL intent first: a crash after this point replays as "swap of
+        // unknown outcome", never as silent state loss.
+        self.wal.append(WalRecord::Intent {
+            at_ns: now,
+            rollback,
+            shed: shed.clone(),
+        });
+        if let Some(delta) = ladder {
+            self.events.push(delta.event(now));
+        }
+        self.events.push(SupervisorEvent::Staged {
+            at_ns: now,
+            shed,
+            moved_nodes: moved,
+            rollback,
+        });
+        Some(ControlAction::StageCommit {
+            staged: Box::new(staged),
+            drain_ns: self.cfg.drain_ns,
+        })
+    }
+
+    /// A repair worth staging changes something, and its dry run clears
+    /// every survivor's `t_min` (within `validation_tol`).
+    fn worth_staging(&self, r: &RepairResult) -> bool {
+        let (admitted, _) = self.admission_vectors(&r.kept);
+        let unchanged = admitted == self.current_admitted
+            && r.kept
+                .iter()
+                .enumerate()
+                .all(|(i, &c)| r.placement.assignment[i] == self.current_assignment[c]);
+        let valid = r.kept.iter().enumerate().all(|(i, &c)| {
+            let t_min = self.problem.chains[c].slo.map_or(0.0, |s| s.t_min_bps);
+            r.placement.chain_rates_bps[i] >= t_min * (1.0 - self.cfg.validation_tol)
+        });
+        !unchanged && valid
+    }
+
     /// Repair against the current mask, validate, and stage a commit.
     fn try_replan(&mut self, now: u64, reason: ReplanReason) -> ControlAction {
         self.streak = 0;
@@ -495,83 +633,21 @@ impl<'a> Supervisor<'a> {
         if reason == ReplanReason::Violation {
             self.repair_attempts += 1;
         }
-        let fail = |s: &mut Self| match reason {
-            ReplanReason::Violation => s.backoff(now),
-            ReplanReason::Improve => ControlAction::Continue,
-        };
-
         let mask = self.mask();
-        let r = match repair_assignment(&self.problem, &self.current_assignment, mask, self.oracle)
-        {
-            Ok(r) => r,
-            Err(_) => return fail(self),
-        };
-
-        let (admitted, slos) = self.admission_vectors(&r.kept);
-        let unchanged = admitted == self.current_admitted
-            && r.kept
-                .iter()
-                .enumerate()
-                .all(|(i, &c)| r.placement.assignment[i] == self.current_assignment[c]);
-        if unchanged {
+        let staged =
+            match repair_assignment(&self.problem, &self.current_assignment, mask, self.oracle) {
+                Ok(r) if self.worth_staging(&r) => {
+                    let why = Staging::Repair { shed: &r.shed };
+                    self.stage(now, &r.kept, &r.problem, &r.placement, why)
+                }
+                _ => None,
+            };
+        match (staged, reason) {
+            (Some(action), _) => action,
             // Repair has nothing to offer (e.g. the violation is a traffic
             // lull or an unmaskable crash): backing off is all we can do.
-            return fail(self);
-        }
-
-        // Dry-run validation: every survivor must still clear its t_min.
-        let valid = r.kept.iter().enumerate().all(|(i, &c)| {
-            let t_min = self.problem.chains[c].slo.map_or(0.0, |s| s.t_min_bps);
-            r.placement.chain_rates_bps[i] >= t_min * (1.0 - self.cfg.validation_tol)
-        });
-        if !valid {
-            return fail(self);
-        }
-
-        let bases: Vec<u32> = r.kept.iter().map(|&c| self.entry_spi[c]).collect();
-        let deployment = match compile_repair(&r.problem, &r.placement, &bases) {
-            Ok(d) => d,
-            Err(_) => return fail(self),
-        };
-        let staged = match StagedConfig::build(
-            &r.problem,
-            &r.placement,
-            deployment,
-            admitted.clone(),
-            slos,
-            false,
-        ) {
-            Ok(s) => s,
-            Err(_) => return fail(self),
-        };
-
-        let moved = r.moved_nodes(&self.current_assignment);
-        let mut assignment = self.current_assignment.clone();
-        for (i, &c) in r.kept.iter().enumerate() {
-            assignment[c] = r.placement.assignment[i].clone();
-        }
-        self.pending = Some(PendingCommit {
-            assignment,
-            admitted,
-            ladder: None,
-        });
-        self.state = SupervisorState::Draining;
-        // WAL intent first: a crash after this point replays as "swap of
-        // unknown outcome", never as silent state loss.
-        self.wal.append(WalRecord::Intent {
-            at_ns: now,
-            rollback: false,
-            shed: r.shed.clone(),
-        });
-        self.events.push(SupervisorEvent::Staged {
-            at_ns: now,
-            shed: r.shed.clone(),
-            moved_nodes: moved,
-            rollback: false,
-        });
-        ControlAction::StageCommit {
-            staged: Box::new(staged),
-            drain_ns: self.cfg.drain_ns,
+            (None, ReplanReason::Violation) => self.backoff(now),
+            (None, ReplanReason::Improve) => ControlAction::Continue,
         }
     }
 
@@ -582,59 +658,15 @@ impl<'a> Supervisor<'a> {
         let kept: Vec<usize> = (0..self.problem.chains.len())
             .filter(|&c| self.lkg_admitted[c])
             .collect();
-        let sub = PlacementProblem {
-            chains: kept
-                .iter()
-                .map(|&c| self.problem.chains[c].clone())
-                .collect(),
-            topology: self.problem.topology.degraded(self.mask()),
-            profiles: self.problem.profiles.clone(),
-        };
-        let sub_assignment: Assignment = kept
+        let sub = self.sub_problem(&kept);
+        let lkg: Assignment = kept
             .iter()
             .map(|&c| self.lkg_assignment[c].clone())
             .collect();
-        let evaluated = match sub.evaluate(&sub_assignment, CoreStrategy::WaterFill) {
-            Ok(ev) => ev,
-            Err(_) => return self.backoff(now),
-        };
-        let bases: Vec<u32> = kept.iter().map(|&c| self.entry_spi[c]).collect();
-        let deployment = match compile_repair(&sub, &evaluated, &bases) {
-            Ok(d) => d,
-            Err(_) => return self.backoff(now),
-        };
-        let (admitted, slos) = self.admission_vectors(&kept);
-        let staged =
-            match StagedConfig::build(&sub, &evaluated, deployment, admitted.clone(), slos, true) {
-                Ok(s) => s,
-                Err(_) => return self.backoff(now),
-            };
-
-        let mut assignment = self.current_assignment.clone();
-        for &c in &kept {
-            assignment[c] = self.lkg_assignment[c].clone();
-        }
-        self.pending = Some(PendingCommit {
-            assignment,
-            admitted,
-            ladder: None,
-        });
-        self.state = SupervisorState::Draining;
-        self.wal.append(WalRecord::Intent {
-            at_ns: now,
-            rollback: true,
-            shed: Vec::new(),
-        });
-        self.events.push(SupervisorEvent::Staged {
-            at_ns: now,
-            shed: Vec::new(),
-            moved_nodes: 0,
-            rollback: true,
-        });
-        ControlAction::StageCommit {
-            staged: Box::new(staged),
-            drain_ns: self.cfg.drain_ns,
-        }
+        sub.evaluate(&lkg, CoreStrategy::WaterFill)
+            .ok()
+            .and_then(|placement| self.stage(now, &kept, &sub, &placement, Staging::Rollback))
+            .unwrap_or_else(|| self.backoff(now))
     }
 
     /// Shed-priority of a chain (higher survives longer).
@@ -666,208 +698,66 @@ impl<'a> Supervisor<'a> {
         self.admission_on = deny;
         self.wal
             .append(WalRecord::AdmissionControl { at_ns: now, deny });
-        let event = if deny {
-            SupervisorEvent::LadderEscalated {
-                at_ns: now,
-                rung: 1,
-                chain: None,
-            }
-        } else {
-            SupervisorEvent::LadderUnwound {
-                at_ns: now,
-                rung: 1,
-                chain: None,
-            }
-        };
-        self.events.push(event);
+        self.events
+            .push(SupervisorEvent::ladder(now, deny, 1, None));
         ControlAction::SetTailAdmission {
             deny_junk: vec![deny; self.problem.chains.len()],
         }
     }
 
-    /// Stage a two-phase commit whose only change is admission: shed
-    /// `victim` (rung 2 up) or re-admit `restore` (rung 2 down). The
-    /// survivors keep their placements; the shed chain keeps its stale
-    /// assignment entry as the re-admission hint.
-    fn stage_ladder_swap(
-        &mut self,
-        now: u64,
-        victim: Option<usize>,
-        restore: Option<usize>,
-    ) -> ControlAction {
-        let kept: Vec<usize> = (0..self.problem.chains.len())
-            .filter(|&c| (self.current_admitted[c] || Some(c) == restore) && Some(c) != victim)
-            .collect();
-        let sub = PlacementProblem {
-            chains: kept
-                .iter()
-                .map(|&c| self.problem.chains[c].clone())
-                .collect(),
-            topology: self.problem.topology.degraded(self.mask()),
-            profiles: self.problem.profiles.clone(),
-        };
-        let sub_assignment: Assignment = kept
+    /// Chains admitted once `delta` commits, ascending.
+    fn kept_after(&self, delta: LadderDelta) -> Vec<usize> {
+        let admitted = &self.current_admitted;
+        (0..self.problem.chains.len())
+            .filter(|&c| match delta {
+                LadderDelta::Shed(victim) => admitted[c] && c != victim,
+                LadderDelta::Restore(chain) => admitted[c] || c == chain,
+                LadderDelta::ScaleOut => admitted[c],
+            })
+            .collect()
+    }
+
+    /// Stage a two-phase commit whose only change is admission: shed a
+    /// chain (rung 2 up) or re-admit one (rung 2 down). The survivors
+    /// keep their placements; the shed chain keeps its stale assignment
+    /// entry as the re-admission hint.
+    fn stage_ladder_swap(&mut self, now: u64, delta: LadderDelta) -> ControlAction {
+        let kept = self.kept_after(delta);
+        let sub = self.sub_problem(&kept);
+        let current: Assignment = kept
             .iter()
             .map(|&c| self.current_assignment[c].clone())
             .collect();
-        let evaluated = match sub.evaluate(&sub_assignment, CoreStrategy::WaterFill) {
-            Ok(ev) => ev,
-            // Infeasible (e.g. the restored chain no longer fits the
-            // degraded rack): leave the rung as it is and retry on the
-            // next patience expiry.
-            Err(_) => return ControlAction::Continue,
-        };
-        let bases: Vec<u32> = kept.iter().map(|&c| self.entry_spi[c]).collect();
-        let deployment = match compile_repair(&sub, &evaluated, &bases) {
-            Ok(d) => d,
-            Err(_) => return ControlAction::Continue,
-        };
-        let (admitted, slos) = self.admission_vectors(&kept);
-        let staged = match StagedConfig::build(
-            &sub,
-            &evaluated,
-            deployment,
-            admitted.clone(),
-            slos,
-            false,
-        ) {
-            Ok(s) => s,
-            Err(_) => return ControlAction::Continue,
-        };
-
-        let delta = match (victim, restore) {
-            (Some(c), _) => LadderDelta::Shed(c),
-            (_, Some(c)) => LadderDelta::Restore(c),
-            _ => unreachable!("ladder swap needs a victim or a restore"),
-        };
-        self.pending = Some(PendingCommit {
-            assignment: self.current_assignment.clone(),
-            admitted,
-            ladder: Some(delta),
-        });
-        self.state = SupervisorState::Draining;
-        let shed: Vec<usize> = victim.into_iter().collect();
-        self.wal.append(WalRecord::Intent {
-            at_ns: now,
-            rollback: false,
-            shed: shed.clone(),
-        });
-        let event = match delta {
-            LadderDelta::Shed(c) => SupervisorEvent::LadderEscalated {
-                at_ns: now,
-                rung: 2,
-                chain: Some(c),
-            },
-            LadderDelta::Restore(c) => SupervisorEvent::LadderUnwound {
-                at_ns: now,
-                rung: 2,
-                chain: Some(c),
-            },
-            LadderDelta::ScaleOut => unreachable!(),
-        };
-        self.events.push(event);
-        self.events.push(SupervisorEvent::Staged {
-            at_ns: now,
-            shed,
-            moved_nodes: 0,
-            rollback: false,
-        });
-        ControlAction::StageCommit {
-            staged: Box::new(staged),
-            drain_ns: self.cfg.drain_ns,
-        }
+        // Infeasible (e.g. the restored chain no longer fits the degraded
+        // rack): leave the rung as it is and retry on the next patience
+        // expiry.
+        sub.evaluate(&current, CoreStrategy::WaterFill)
+            .ok()
+            .and_then(|placement| self.stage(now, &kept, &sub, &placement, Staging::Ladder(delta)))
+            .unwrap_or(ControlAction::Continue)
     }
 
     /// Rung 3: ask the placer for a fresh scale-out placement of the
     /// surviving chains on the fault-masked topology.
     fn stage_scaleout(&mut self, now: u64) -> ControlAction {
-        let kept: Vec<usize> = (0..self.problem.chains.len())
-            .filter(|&c| self.current_admitted[c])
-            .collect();
-        let sub = PlacementProblem {
-            chains: kept
-                .iter()
-                .map(|&c| self.problem.chains[c].clone())
-                .collect(),
-            topology: self.problem.topology.degraded(self.mask()),
-            profiles: self.problem.profiles.clone(),
-        };
-        let evaluated = match lemur_placer::heuristic::place(&sub, self.oracle) {
-            Ok(ev) => ev,
-            Err(_) => {
-                // No scale-out exists: spend the rung so the ladder can
-                // move on to parking rather than retrying forever.
+        let delta = LadderDelta::ScaleOut;
+        let kept = self.kept_after(delta);
+        let sub = self.sub_problem(&kept);
+        lemur_placer::heuristic::place(&sub, self.oracle)
+            .ok()
+            .filter(|placement| {
+                kept.iter()
+                    .enumerate()
+                    .any(|(i, &c)| placement.assignment[i] != self.current_assignment[c])
+            })
+            .and_then(|placement| self.stage(now, &kept, &sub, &placement, Staging::Ladder(delta)))
+            .unwrap_or_else(|| {
+                // No (different) scale-out exists: spend the rung so the
+                // ladder can move on to parking rather than retrying
+                // forever.
                 self.scaled_out = true;
-                return ControlAction::Continue;
-            }
-        };
-        let unchanged = kept
-            .iter()
-            .enumerate()
-            .all(|(i, &c)| evaluated.assignment[i] == self.current_assignment[c]);
-        if unchanged {
-            self.scaled_out = true;
-            return ControlAction::Continue;
-        }
-        let bases: Vec<u32> = kept.iter().map(|&c| self.entry_spi[c]).collect();
-        let deployment = match compile_repair(&sub, &evaluated, &bases) {
-            Ok(d) => d,
-            Err(_) => {
-                self.scaled_out = true;
-                return ControlAction::Continue;
-            }
-        };
-        let (admitted, slos) = self.admission_vectors(&kept);
-        let staged = match StagedConfig::build(
-            &sub,
-            &evaluated,
-            deployment,
-            admitted.clone(),
-            slos,
-            false,
-        ) {
-            Ok(s) => s,
-            Err(_) => {
-                self.scaled_out = true;
-                return ControlAction::Continue;
-            }
-        };
-
-        let moved = kept
-            .iter()
-            .enumerate()
-            .filter(|&(i, &c)| evaluated.assignment[i] != self.current_assignment[c])
-            .count();
-        let mut assignment = self.current_assignment.clone();
-        for (i, &c) in kept.iter().enumerate() {
-            assignment[c] = evaluated.assignment[i].clone();
-        }
-        self.pending = Some(PendingCommit {
-            assignment,
-            admitted,
-            ladder: Some(LadderDelta::ScaleOut),
-        });
-        self.state = SupervisorState::Draining;
-        self.wal.append(WalRecord::Intent {
-            at_ns: now,
-            rollback: false,
-            shed: Vec::new(),
-        });
-        self.events.push(SupervisorEvent::LadderEscalated {
-            at_ns: now,
-            rung: 3,
-            chain: None,
-        });
-        self.events.push(SupervisorEvent::Staged {
-            at_ns: now,
-            shed: Vec::new(),
-            moved_nodes: moved,
-            rollback: false,
-        });
-        ControlAction::StageCommit {
-            staged: Box::new(staged),
-            drain_ns: self.cfg.drain_ns,
-        }
+                ControlAction::Continue
+            })
     }
 
     /// Climb one rung: admission denial → shed (ascending priority) →
@@ -877,7 +767,7 @@ impl<'a> Supervisor<'a> {
             return self.set_admission(now, true);
         }
         if let Some(victim) = self.shed_victim() {
-            return self.stage_ladder_swap(now, Some(victim), None);
+            return self.stage_ladder_swap(now, LadderDelta::Shed(victim));
         }
         if !self.scaled_out {
             return self.stage_scaleout(now);
@@ -885,11 +775,8 @@ impl<'a> Supervisor<'a> {
         if self.state != SupervisorState::GracefulDegraded {
             self.ladder_parked = true;
             self.state = SupervisorState::GracefulDegraded;
-            self.events.push(SupervisorEvent::LadderEscalated {
-                at_ns: now,
-                rung: 4,
-                chain: None,
-            });
+            self.events
+                .push(SupervisorEvent::ladder(now, true, 4, None));
             self.events.push(SupervisorEvent::Degraded { at_ns: now });
         }
         ControlAction::Continue
@@ -903,15 +790,12 @@ impl<'a> Supervisor<'a> {
             // dedicated swap.
             self.scaled_out = false;
             self.improve_pending = true;
-            self.events.push(SupervisorEvent::LadderUnwound {
-                at_ns: now,
-                rung: 3,
-                chain: None,
-            });
+            self.events
+                .push(SupervisorEvent::ladder(now, false, 3, None));
             return ControlAction::Continue;
         }
         if let Some(&chain) = self.overload_shed.last() {
-            return self.stage_ladder_swap(now, None, Some(chain));
+            return self.stage_ladder_swap(now, LadderDelta::Restore(chain));
         }
         if self.admission_on {
             return self.set_admission(now, false);
@@ -982,14 +866,11 @@ impl ControlHook for Supervisor<'_> {
             if self.calm_windows >= self.cfg.unwind_patience {
                 self.calm_windows = 0;
                 self.ladder_parked = false;
-                self.attempts = 0;
+                self.retry.reset();
                 self.streak = 0;
                 self.state = SupervisorState::Monitoring;
-                self.events.push(SupervisorEvent::LadderUnwound {
-                    at_ns: end_ns,
-                    rung: 4,
-                    chain: None,
-                });
+                self.events
+                    .push(SupervisorEvent::ladder(end_ns, false, 4, None));
             }
             return ControlAction::Continue;
         }
@@ -1061,7 +942,7 @@ impl ControlHook for Supervisor<'_> {
                     return self.try_replan(end_ns, ReplanReason::Violation);
                 }
                 // The episode resolved itself while we waited.
-                self.attempts = 0;
+                self.retry.reset();
                 self.streak = 0;
                 self.state = SupervisorState::Monitoring;
                 if self.improve_pending && !overload {
@@ -1089,7 +970,7 @@ impl ControlHook for Supervisor<'_> {
                 if left == 0 {
                     self.lkg_assignment = self.current_assignment.clone();
                     self.lkg_admitted = self.current_admitted.clone();
-                    self.attempts = 0;
+                    self.retry.reset();
                     self.streak = 0;
                     self.state = SupervisorState::Converged;
                     self.events
@@ -1139,7 +1020,7 @@ impl ControlHook for Supervisor<'_> {
         } else if self.cfg.probation_windows == 0 {
             self.lkg_assignment = self.current_assignment.clone();
             self.lkg_admitted = self.current_admitted.clone();
-            self.attempts = 0;
+            self.retry.reset();
             SupervisorState::Converged
         } else {
             SupervisorState::Probation {
@@ -1252,6 +1133,55 @@ mod tests {
         sup.on_window(w * WIN, &[], &[])
     }
 
+    /// Lengths of the WAL and the event log, taken before a call that
+    /// may stage.
+    fn mark(sup: &Supervisor<'_>) -> (usize, usize) {
+        (sup.wal().len(), sup.events().len())
+    }
+
+    /// Hold a staging to the contract every caller shares, then commit
+    /// it: since `before`, exactly one `Intent` was journaled and it
+    /// agrees with the `Staged` event; `Staged` is the last event, right
+    /// after the ladder event if the commit moves the ladder; committing
+    /// makes `admitted()` the staged admission vector. Returns `Staged`.
+    fn commit_staged(
+        sup: &mut Supervisor<'_>,
+        before: (usize, usize),
+        action: ControlAction,
+        at_ns: u64,
+        epoch: u64,
+    ) -> SupervisorEvent {
+        let ControlAction::StageCommit { staged, .. } = action else {
+            panic!("expected a StageCommit");
+        };
+        let records = &sup.wal().records()[before.0..];
+        let [WalRecord::Intent { rollback, shed, .. }] = records else {
+            panic!("expected exactly one Intent, got {records:?}");
+        };
+        let events = &sup.events()[before.1..];
+        let Some(
+            last @ SupervisorEvent::Staged {
+                shed: staged_shed,
+                rollback: staged_rollback,
+                ..
+            },
+        ) = events.last()
+        else {
+            panic!("Staged must be the last event: {events:?}");
+        };
+        assert_eq!((staged_shed, staged_rollback), (shed, rollback));
+        assert_eq!(*rollback, staged.is_rollback());
+        let last = last.clone();
+        let pending = sup.pending.as_ref().expect("a staged commit is pending");
+        if let Some(delta) = pending.ladder {
+            assert_eq!(events.iter().rev().nth(1), Some(&delta.event(last.at_ns())));
+        }
+        let admitted = pending.admitted.clone();
+        sup.on_commit(at_ns, epoch, 0, staged.is_rollback());
+        assert_eq!(sup.admitted(), &admitted[..]);
+        last
+    }
+
     use surge::SurgeConfig;
 
     /// A detector declaring 1000 legitimate packets per window per chain,
@@ -1326,9 +1256,17 @@ mod tests {
         // Still overloaded: rung 2 sheds the *lowest-priority* chain
         // (chain 1; chain 0 has the higher priority and is untouchable).
         surge_window(&mut sup, 3);
+        let before = mark(&sup);
         let action = surge_window(&mut sup, 4);
-        assert!(matches!(action, ControlAction::StageCommit { .. }));
-        sup.on_commit(4 * WIN + 200_000, 1, 5, false);
+        let staged = commit_staged(&mut sup, before, action, 4 * WIN + 200_000, 1);
+        let SupervisorEvent::Staged { moved_nodes, .. } = staged else {
+            panic!("expected Staged, got {staged:?}");
+        };
+        assert_eq!(
+            moved_nodes,
+            placement.assignment[1].len(),
+            "the shed chain's nodes"
+        );
         assert_eq!(sup.overload_shed(), &[1]);
         assert_eq!(sup.admitted(), &[true, false]);
 
@@ -1344,10 +1282,11 @@ mod tests {
         // fresh placement may be identical to the running one, in which
         // case the rung is spent without a swap.
         surge_window(&mut sup, 8);
+        let before = mark(&sup);
         let action = surge_window(&mut sup, 9);
         let mut w = 10;
         if matches!(action, ControlAction::StageCommit { .. }) {
-            sup.on_commit(9 * WIN + 200_000, 2, 0, false);
+            commit_staged(&mut sup, before, action, 9 * WIN + 200_000, 2);
             for _ in 0..3 {
                 surge_window(&mut sup, w);
                 w += 1;
@@ -1367,11 +1306,11 @@ mod tests {
         // unwind stages until every rung has stepped back down.
         let mut epoch = 3;
         for i in 0..60 {
+            let before = mark(&sup);
             let action = calm_window(&mut sup, w + i);
             match action {
-                ControlAction::StageCommit { staged, .. } => {
-                    let rb = staged.is_rollback();
-                    sup.on_commit((w + i) * WIN + 200_000, epoch, 0, rb);
+                ControlAction::StageCommit { .. } => {
+                    commit_staged(&mut sup, before, action, (w + i) * WIN + 200_000, epoch);
                     epoch += 1;
                 }
                 ControlAction::SetTailAdmission { deny_junk } => {
@@ -1405,6 +1344,96 @@ mod tests {
             .iter()
             .any(|r| matches!(r, WalRecord::AdmissionControl { deny: true, .. })));
         assert!(!sup.wal().replay().admission_deny);
+        Ok(())
+    }
+
+    /// Stage from window `w` (calm or surging), commit it, and ride out
+    /// its probation through surging windows, which count as clean.
+    /// Returns the events window `w` pushed, `Staged` last.
+    fn stage_and_promote(
+        sup: &mut Supervisor<'_>,
+        w: u64,
+        calm: bool,
+        epoch: u64,
+    ) -> Vec<SupervisorEvent> {
+        let before = mark(sup);
+        let action = if calm {
+            calm_window(sup, w)
+        } else {
+            surge_window(sup, w)
+        };
+        commit_staged(sup, before, action, w * WIN + 200_000, epoch);
+        let pushed = sup.events()[before.1..sup.events().len() - 1].to_vec();
+        for k in 1..=3 {
+            surge_window(sup, w + k);
+        }
+        assert_eq!(sup.state(), SupervisorState::Converged);
+        pushed
+    }
+
+    /// The ladder's restore and scale-out stage through the same contract
+    /// as a repair or a rollback.
+    #[test]
+    fn ladder_restore_and_scaleout_keep_the_staging_contract() -> Result<(), String> {
+        let (p, _) = problem(3, 0.4);
+        let (placement, deployment) = deployed(&p)?;
+        let cfg = SupervisorConfig {
+            ladder_patience: 1,
+            unwind_patience: 1,
+            ..Default::default()
+        };
+        let mut sup = Supervisor::new(&p, &placement, &deployment, &AlwaysFits, cfg)
+            .with_surge_detector(detector());
+
+        // Rung 1, then rung 2 sheds chain 1; a calm window restores it.
+        surge_window(&mut sup, 1);
+        stage_and_promote(&mut sup, 2, false, 1);
+        assert_eq!(sup.admitted(), &[true, false]);
+        let restore = stage_and_promote(&mut sup, 6, true, 2);
+        assert!(
+            matches!(
+                restore.as_slice(),
+                [
+                    ..,
+                    SupervisorEvent::LadderUnwound {
+                        rung: 2,
+                        chain: Some(1),
+                        ..
+                    },
+                    SupervisorEvent::Staged { .. }
+                ]
+            ),
+            "{restore:?}"
+        );
+        assert_eq!(sup.admitted(), &[true, true]);
+
+        // Shed again, then lose a server under chain 0 while the surge
+        // holds repair back: rung 3 must re-place chain 0 off it.
+        stage_and_promote(&mut sup, 10, false, 3);
+        let dead = placement
+            .subgroups
+            .iter()
+            .find(|sg| sg.chain == 0)
+            .ok_or("chain 0 has no subgroup")?
+            .server;
+        sup.on_fault(14 * WIN - 1, &FaultKind::LinkDown { server: dead });
+        let scaleout = stage_and_promote(&mut sup, 14, false, 4);
+        assert!(
+            matches!(
+                scaleout.as_slice(),
+                [
+                    ..,
+                    SupervisorEvent::LadderEscalated {
+                        rung: 3,
+                        chain: None,
+                        ..
+                    },
+                    SupervisorEvent::Staged { moved_nodes, .. }
+                ] if *moved_nodes > 0
+            ),
+            "{scaleout:?}"
+        );
+        assert!(sup.scaled_out);
         Ok(())
     }
 
@@ -1502,13 +1531,17 @@ mod tests {
             ControlAction::Continue
         ));
         // Third consecutive violation crosses the threshold and stages.
+        let before = mark(&sup);
         let action = violated_window(&mut sup, 6);
-        assert!(matches!(action, ControlAction::StageCommit { .. }));
         assert_eq!(sup.state(), SupervisorState::Draining);
-        match action {
-            ControlAction::StageCommit { staged, .. } => assert!(!staged.is_rollback()),
-            _ => unreachable!(),
-        }
+        let staged = commit_staged(&mut sup, before, action, 6 * WIN + 200_000, 1);
+        assert!(matches!(
+            staged,
+            SupervisorEvent::Staged {
+                rollback: false,
+                ..
+            }
+        ));
         Ok(())
     }
 
@@ -1527,13 +1560,10 @@ mod tests {
         let dead = placement.subgroups[0].server;
         sup.on_fault(100, &FaultKind::LinkDown { server: dead });
         violated_window(&mut sup, 1);
-        assert!(matches!(
-            violated_window(&mut sup, 2),
-            ControlAction::StageCommit { .. }
-        ));
-
+        let before = mark(&sup);
+        let action = violated_window(&mut sup, 2);
         // Engine swaps; epoch 1 goes live.
-        sup.on_commit(2 * WIN + 200_000, 1, 17, false);
+        commit_staged(&mut sup, before, action, 2 * WIN + 200_000, 1);
         assert!(matches!(
             sup.state(),
             SupervisorState::Probation { grace: true, .. }
@@ -1570,27 +1600,28 @@ mod tests {
         let dead = placement.subgroups[0].server;
         sup.on_fault(100, &FaultKind::LinkDown { server: dead });
         violated_window(&mut sup, 1);
-        assert!(matches!(
-            violated_window(&mut sup, 2),
-            ControlAction::StageCommit { .. }
-        ));
-        sup.on_commit(2 * WIN + 200_000, 1, 9, false);
+        let before = mark(&sup);
+        let action = violated_window(&mut sup, 2);
+        let repair = commit_staged(&mut sup, before, action, 2 * WIN + 200_000, 1);
 
         // Hold-down expires mid-probation: the link is trusted again, so
         // the LKG (which used that server) is feasible for rollback.
         sup.on_fault(2 * WIN + 300_000, &FaultKind::LinkUp { server: dead });
         clean_window(&mut sup, 3); // grace
+        let before = mark(&sup);
         let action = sup.on_window(9 * WIN, &[], &[violation(9 * WIN)]);
-        match action {
-            ControlAction::StageCommit { staged, .. } => {
-                assert!(
-                    staged.is_rollback(),
-                    "probation violation must stage a rollback"
-                )
+        let rollback = commit_staged(&mut sup, before, action, 9 * WIN + 200_000, 2);
+        assert!(
+            matches!(rollback, SupervisorEvent::Staged { rollback: true, .. }),
+            "probation violation must stage a rollback"
+        );
+        assert!(matches!(
+            repair,
+            SupervisorEvent::Staged {
+                rollback: false,
+                ..
             }
-            _ => panic!("expected a rollback commit"),
-        }
-        sup.on_commit(9 * WIN + 200_000, 2, 3, true);
+        ));
         assert_eq!(sup.state(), SupervisorState::Monitoring);
         // All chains re-admitted by the rollback.
         assert!(sup.admitted().iter().all(|&a| a));
@@ -1619,9 +1650,8 @@ mod tests {
         // Still violating at expiry → second attempt → still nothing.
         let w = until_ns / WIN + 1;
         violated_window(&mut sup, w);
-        assert!(matches!(sup.state(), SupervisorState::Backoff { .. }));
         let SupervisorState::Backoff { until_ns } = sup.state() else {
-            unreachable!()
+            panic!("expected a second backoff, got {:?}", sup.state());
         };
         violated_window(&mut sup, until_ns / WIN + 1);
         assert_eq!(sup.state(), SupervisorState::GracefulDegraded);
@@ -1672,6 +1702,70 @@ mod tests {
         violated_window(&mut c, 1);
         violated_window(&mut c, 2);
         assert_ne!(a.state(), c.state());
+        Ok(())
+    }
+
+    /// A base delay near `u64::MAX` saturates the retry time instead of
+    /// overflowing it (a panic in debug builds, an immediate retry once
+    /// wrapped in release builds).
+    #[test]
+    fn huge_backoff_base_saturates_the_retry_time() -> Result<(), String> {
+        let (p, _) = problem(3, 0.4);
+        let (placement, deployment) = deployed(&p)?;
+        let cfg = SupervisorConfig {
+            backoff_base_ns: u64::MAX - 1_000,
+            ..Default::default()
+        };
+        let mut sup = Supervisor::new(&p, &placement, &deployment, &AlwaysFits, cfg);
+        // Nothing to repair: the second violated window backs off.
+        violated_window(&mut sup, 1);
+        violated_window(&mut sup, 2);
+        assert_eq!(sup.state(), SupervisorState::Backoff { until_ns: u64::MAX });
+        Ok(())
+    }
+
+    /// `Staged::moved_nodes` means one thing on every path: a rollback
+    /// that undoes a repair moves back exactly the nodes the repair moved.
+    #[test]
+    fn rollback_moves_back_what_the_repair_moved() -> Result<(), String> {
+        let (p, _) = problem(3, 0.4);
+        let (placement, deployment) = deployed(&p)?;
+        let mut sup = Supervisor::new(
+            &p,
+            &placement,
+            &deployment,
+            &AlwaysFits,
+            SupervisorConfig::default(),
+        );
+        let dead = placement.subgroups[0].server;
+        sup.on_fault(100, &FaultKind::LinkDown { server: dead });
+        violated_window(&mut sup, 1);
+        let before = mark(&sup);
+        let action = violated_window(&mut sup, 2);
+        let repair = commit_staged(&mut sup, before, action, 2 * WIN + 200_000, 1);
+        sup.on_fault(2 * WIN + 300_000, &FaultKind::LinkUp { server: dead });
+        clean_window(&mut sup, 3); // grace
+        let before = mark(&sup);
+        let action = violated_window(&mut sup, 9);
+        let rollback = commit_staged(&mut sup, before, action, 9 * WIN + 200_000, 2);
+
+        let SupervisorEvent::Staged {
+            moved_nodes: moved,
+            shed,
+            ..
+        } = repair
+        else {
+            panic!("expected Staged, got {repair:?}");
+        };
+        assert!(shed.is_empty() && moved > 0, "need a node-moving repair");
+        assert!(matches!(
+            rollback,
+            SupervisorEvent::Staged {
+                moved_nodes,
+                rollback: true,
+                ..
+            } if moved_nodes == moved
+        ));
         Ok(())
     }
 

@@ -15,13 +15,15 @@
 //! token, so a restarted coordinator can never re-grant a chain it already
 //! gave away.
 //!
-//! The in-memory log is the simulation's working form; [`WalRecord::encode`]
-//! / [`DecisionLog::recover`] give it a durable byte image (length-prefixed
-//! frames, each sealed with the same FNV-1a/128 digest the LMSN snapshot
-//! wire format uses). A torn write — the journal cut mid-record — recovers
-//! to the longest complete prefix and resolves any dangling intent with a
-//! synthesized [`WalRecord::Recovered`]: recovery never errors and never
-//! leaves a swap half-open.
+//! The log has one durable form: [`WalRecord::encode`] /
+//! [`DecisionLog::encode`] write a byte image of length-prefixed frames,
+//! each sealed with the same FNV-1a/128 digest the LMSN snapshot wire
+//! format uses, and [`DecisionLog::recover`] reads it back. The fleet
+//! coordinator keeps that image and recovers from it after a crash. A torn
+//! write — the journal cut mid-record — recovers to the longest complete
+//! prefix and resolves any dangling intent with a synthesized
+//! [`WalRecord::Recovered`]: recovery never errors and never leaves a
+//! swap half-open.
 
 use std::collections::BTreeMap;
 
@@ -29,7 +31,6 @@ use lemur_core::graph::NodeId;
 use lemur_dataplane::MigrationError;
 use lemur_nf::snapshot::{Decoder, Encoder, Fnv128, SnapshotError};
 use lemur_nf::NfKind;
-use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Where a PoP sits on the coordinator's graceful-degradation ladder.
 ///
@@ -60,7 +61,7 @@ impl PopHealth {
         PopHealth::Drained,
     ];
 
-    /// Short human-readable tag used in reports and JSON.
+    /// Short human-readable tag used in reports.
     pub fn tag(&self) -> &'static str {
         match self {
             PopHealth::Healthy => "healthy",
@@ -68,10 +69,6 @@ impl PopHealth {
             PopHealth::Unreachable => "unreachable",
             PopHealth::Drained => "drained",
         }
-    }
-
-    fn from_tag(tag: &str) -> Option<PopHealth> {
-        PopHealth::ALL.into_iter().find(|h| h.tag() == tag)
     }
 }
 
@@ -704,385 +701,6 @@ impl DecisionLog {
     }
 }
 
-impl Serialize for PopHealth {
-    fn to_value(&self) -> Value {
-        Value::Str(self.tag().to_string())
-    }
-}
-
-impl Deserialize for PopHealth {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let tag: String = Deserialize::from_value(v)?;
-        PopHealth::from_tag(&tag).ok_or_else(|| DeError::expected("PopHealth tag", v))
-    }
-}
-
-fn de_field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
-    T::from_value(v.get(name).ok_or_else(|| DeError::missing(name))?)
-}
-
-fn tagged(tag: &str, mut fields: Vec<(String, Value)>) -> Value {
-    let mut entries = vec![("type".to_string(), Value::Str(tag.to_string()))];
-    entries.append(&mut fields);
-    Value::object(entries)
-}
-
-fn u128_to_value(v: u128) -> Value {
-    Value::Str(format!("{v:032x}"))
-}
-
-fn u128_from_value(v: &Value) -> Result<u128, DeError> {
-    let s: String = Deserialize::from_value(v)?;
-    u128::from_str_radix(&s, 16).map_err(|_| DeError::expected("hex u128", v))
-}
-
-fn nf_kind_to_value(k: NfKind) -> Value {
-    Value::Str(k.name().to_string())
-}
-
-fn nf_kind_from_value(v: &Value) -> Result<NfKind, DeError> {
-    let name: String = Deserialize::from_value(v)?;
-    NfKind::ALL
-        .into_iter()
-        .find(|k| k.name() == name)
-        .ok_or_else(|| DeError::expected("NF kind name", v))
-}
-
-fn snapshot_error_to_value(err: &SnapshotError) -> Value {
-    match err {
-        SnapshotError::Truncated { need, have } => tagged(
-            "truncated",
-            vec![
-                ("need".to_string(), need.to_value()),
-                ("have".to_string(), have.to_value()),
-            ],
-        ),
-        SnapshotError::BadMagic(magic) => tagged(
-            "bad_magic",
-            vec![("magic".to_string(), (*magic as u64).to_value())],
-        ),
-        SnapshotError::UnsupportedVersion(version) => tagged(
-            "unsupported_version",
-            vec![("version".to_string(), (*version as u64).to_value())],
-        ),
-        SnapshotError::ChecksumMismatch { expected, found } => tagged(
-            "checksum_mismatch",
-            vec![
-                ("expected".to_string(), u128_to_value(*expected)),
-                ("found".to_string(), u128_to_value(*found)),
-            ],
-        ),
-        SnapshotError::KindMismatch { expected, found } => tagged(
-            "kind_mismatch",
-            vec![
-                ("expected".to_string(), nf_kind_to_value(*expected)),
-                ("found".to_string(), nf_kind_to_value(*found)),
-            ],
-        ),
-        SnapshotError::Invalid(msg) => tagged(
-            "invalid",
-            vec![("message".to_string(), Value::Str(msg.to_string()))],
-        ),
-        SnapshotError::NoState(kind) => tagged(
-            "no_state",
-            vec![("kind".to_string(), nf_kind_to_value(*kind))],
-        ),
-    }
-}
-
-fn snapshot_error_from_value(v: &Value) -> Result<SnapshotError, DeError> {
-    let tag: String = de_field(v, "type")?;
-    match tag.as_str() {
-        "truncated" => Ok(SnapshotError::Truncated {
-            need: de_field(v, "need")?,
-            have: de_field(v, "have")?,
-        }),
-        "bad_magic" => {
-            let magic: u64 = de_field(v, "magic")?;
-            Ok(SnapshotError::BadMagic(magic as u32))
-        }
-        "unsupported_version" => {
-            let version: u64 = de_field(v, "version")?;
-            Ok(SnapshotError::UnsupportedVersion(version as u16))
-        }
-        "checksum_mismatch" => Ok(SnapshotError::ChecksumMismatch {
-            expected: u128_from_value(
-                v.get("expected")
-                    .ok_or_else(|| DeError::missing("expected"))?,
-            )?,
-            found: u128_from_value(v.get("found").ok_or_else(|| DeError::missing("found"))?)?,
-        }),
-        "kind_mismatch" => Ok(SnapshotError::KindMismatch {
-            expected: nf_kind_from_value(
-                v.get("expected")
-                    .ok_or_else(|| DeError::missing("expected"))?,
-            )?,
-            found: nf_kind_from_value(v.get("found").ok_or_else(|| DeError::missing("found"))?)?,
-        }),
-        "invalid" => {
-            let msg: String = de_field(v, "message")?;
-            Ok(SnapshotError::Invalid(intern_invalid(&msg)))
-        }
-        "no_state" => Ok(SnapshotError::NoState(nf_kind_from_value(
-            v.get("kind").ok_or_else(|| DeError::missing("kind"))?,
-        )?)),
-        _ => Err(DeError::expected("snapshot error tag", v)),
-    }
-}
-
-fn migration_error_to_value(err: &MigrationError) -> Value {
-    match err {
-        MigrationError::Decode {
-            chain,
-            node,
-            replica,
-            source,
-        } => tagged(
-            "decode",
-            vec![
-                ("chain".to_string(), chain.to_value()),
-                ("node".to_string(), node.0.to_value()),
-                ("replica".to_string(), replica.to_value()),
-                ("source".to_string(), snapshot_error_to_value(source)),
-            ],
-        ),
-        MigrationError::FingerprintMismatch {
-            chain,
-            node,
-            replica,
-        } => tagged(
-            "fingerprint_mismatch",
-            vec![
-                ("chain".to_string(), chain.to_value()),
-                ("node".to_string(), node.0.to_value()),
-                ("replica".to_string(), replica.to_value()),
-            ],
-        ),
-        MigrationError::Truncated { expected, got } => tagged(
-            "truncated",
-            vec![
-                ("expected".to_string(), expected.to_value()),
-                ("got".to_string(), got.to_value()),
-            ],
-        ),
-        MigrationError::ControlCrash => tagged("control_crash", vec![]),
-        MigrationError::RestoreTimeout => tagged("restore_timeout", vec![]),
-        MigrationError::StaleFencingToken {
-            chain,
-            held,
-            offered,
-        } => tagged(
-            "stale_fencing_token",
-            vec![
-                ("chain".to_string(), chain.to_value()),
-                ("held".to_string(), held.to_value()),
-                ("offered".to_string(), offered.to_value()),
-            ],
-        ),
-        MigrationError::SiteUnreachable { site } => tagged(
-            "site_unreachable",
-            vec![("site".to_string(), site.to_value())],
-        ),
-    }
-}
-
-fn migration_error_from_value(v: &Value) -> Result<MigrationError, DeError> {
-    let tag: String = de_field(v, "type")?;
-    match tag.as_str() {
-        "decode" => Ok(MigrationError::Decode {
-            chain: de_field(v, "chain")?,
-            node: NodeId(de_field(v, "node")?),
-            replica: de_field(v, "replica")?,
-            source: snapshot_error_from_value(
-                v.get("source").ok_or_else(|| DeError::missing("source"))?,
-            )?,
-        }),
-        "fingerprint_mismatch" => Ok(MigrationError::FingerprintMismatch {
-            chain: de_field(v, "chain")?,
-            node: NodeId(de_field(v, "node")?),
-            replica: de_field(v, "replica")?,
-        }),
-        "truncated" => Ok(MigrationError::Truncated {
-            expected: de_field(v, "expected")?,
-            got: de_field(v, "got")?,
-        }),
-        "control_crash" => Ok(MigrationError::ControlCrash),
-        "restore_timeout" => Ok(MigrationError::RestoreTimeout),
-        "stale_fencing_token" => Ok(MigrationError::StaleFencingToken {
-            chain: de_field(v, "chain")?,
-            held: de_field(v, "held")?,
-            offered: de_field(v, "offered")?,
-        }),
-        "site_unreachable" => Ok(MigrationError::SiteUnreachable {
-            site: de_field(v, "site")?,
-        }),
-        _ => Err(DeError::expected("migration error tag", v)),
-    }
-}
-
-impl Serialize for WalRecord {
-    fn to_value(&self) -> Value {
-        match self {
-            WalRecord::Intent {
-                at_ns,
-                rollback,
-                shed,
-            } => tagged(
-                "intent",
-                vec![
-                    ("at_ns".to_string(), at_ns.to_value()),
-                    ("rollback".to_string(), rollback.to_value()),
-                    ("shed".to_string(), shed.to_value()),
-                ],
-            ),
-            WalRecord::Committed {
-                at_ns,
-                epoch,
-                rollback,
-            } => tagged(
-                "committed",
-                vec![
-                    ("at_ns".to_string(), at_ns.to_value()),
-                    ("epoch".to_string(), epoch.to_value()),
-                    ("rollback".to_string(), rollback.to_value()),
-                ],
-            ),
-            WalRecord::MigrationFailed { at_ns, error } => tagged(
-                "migration_failed",
-                vec![
-                    ("at_ns".to_string(), at_ns.to_value()),
-                    ("error".to_string(), migration_error_to_value(error)),
-                ],
-            ),
-            WalRecord::Recovered { at_ns, replayed } => tagged(
-                "recovered",
-                vec![
-                    ("at_ns".to_string(), at_ns.to_value()),
-                    ("replayed".to_string(), replayed.to_value()),
-                ],
-            ),
-            WalRecord::FleetGrant {
-                at_ns,
-                pop,
-                chain,
-                token,
-            } => tagged(
-                "fleet_grant",
-                vec![
-                    ("at_ns".to_string(), at_ns.to_value()),
-                    ("pop".to_string(), pop.to_value()),
-                    ("chain".to_string(), chain.to_value()),
-                    ("token".to_string(), token.to_value()),
-                ],
-            ),
-            WalRecord::FleetRevoke {
-                at_ns,
-                pop,
-                chain,
-                token,
-            } => tagged(
-                "fleet_revoke",
-                vec![
-                    ("at_ns".to_string(), at_ns.to_value()),
-                    ("pop".to_string(), pop.to_value()),
-                    ("chain".to_string(), chain.to_value()),
-                    ("token".to_string(), token.to_value()),
-                ],
-            ),
-            WalRecord::FleetPopHealth { at_ns, pop, health } => tagged(
-                "fleet_pop_health",
-                vec![
-                    ("at_ns".to_string(), at_ns.to_value()),
-                    ("pop".to_string(), pop.to_value()),
-                    ("health".to_string(), health.to_value()),
-                ],
-            ),
-            WalRecord::FleetShed { at_ns, chain } => tagged(
-                "fleet_shed",
-                vec![
-                    ("at_ns".to_string(), at_ns.to_value()),
-                    ("chain".to_string(), chain.to_value()),
-                ],
-            ),
-            WalRecord::AdmissionControl { at_ns, deny } => tagged(
-                "admission_control",
-                vec![
-                    ("at_ns".to_string(), at_ns.to_value()),
-                    ("deny".to_string(), deny.to_value()),
-                ],
-            ),
-        }
-    }
-}
-
-impl Deserialize for WalRecord {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let tag: String = de_field(v, "type")?;
-        match tag.as_str() {
-            "intent" => Ok(WalRecord::Intent {
-                at_ns: de_field(v, "at_ns")?,
-                rollback: de_field(v, "rollback")?,
-                shed: de_field(v, "shed")?,
-            }),
-            "committed" => Ok(WalRecord::Committed {
-                at_ns: de_field(v, "at_ns")?,
-                epoch: de_field(v, "epoch")?,
-                rollback: de_field(v, "rollback")?,
-            }),
-            "migration_failed" => Ok(WalRecord::MigrationFailed {
-                at_ns: de_field(v, "at_ns")?,
-                error: migration_error_from_value(
-                    v.get("error").ok_or_else(|| DeError::missing("error"))?,
-                )?,
-            }),
-            "recovered" => Ok(WalRecord::Recovered {
-                at_ns: de_field(v, "at_ns")?,
-                replayed: de_field(v, "replayed")?,
-            }),
-            "fleet_grant" => Ok(WalRecord::FleetGrant {
-                at_ns: de_field(v, "at_ns")?,
-                pop: de_field(v, "pop")?,
-                chain: de_field(v, "chain")?,
-                token: de_field(v, "token")?,
-            }),
-            "fleet_revoke" => Ok(WalRecord::FleetRevoke {
-                at_ns: de_field(v, "at_ns")?,
-                pop: de_field(v, "pop")?,
-                chain: de_field(v, "chain")?,
-                token: de_field(v, "token")?,
-            }),
-            "fleet_pop_health" => Ok(WalRecord::FleetPopHealth {
-                at_ns: de_field(v, "at_ns")?,
-                pop: de_field(v, "pop")?,
-                health: de_field(v, "health")?,
-            }),
-            "fleet_shed" => Ok(WalRecord::FleetShed {
-                at_ns: de_field(v, "at_ns")?,
-                chain: de_field(v, "chain")?,
-            }),
-            "admission_control" => Ok(WalRecord::AdmissionControl {
-                at_ns: de_field(v, "at_ns")?,
-                deny: de_field(v, "deny")?,
-            }),
-            _ => Err(DeError::expected("WAL record tag", v)),
-        }
-    }
-}
-
-impl Serialize for DecisionLog {
-    fn to_value(&self) -> Value {
-        Value::object(vec![("records".to_string(), self.records.to_value())])
-    }
-}
-
-impl Deserialize for DecisionLog {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(DecisionLog {
-            records: de_field(v, "records")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1447,17 +1065,5 @@ mod tests {
         let rec = DecisionLog::recover(&image, 0);
         assert_eq!(rec.complete, 1, "digest must reject the corrupt frame");
         assert_eq!(rec.log.replay().committed_epoch, Some(1));
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_records() -> Result<(), String> {
-        let mut log = DecisionLog::new();
-        for rec in sample_records() {
-            log.append(rec);
-        }
-        let v = log.to_value();
-        let back = DecisionLog::from_value(&v).map_err(|e| format!("{e:?}"))?;
-        assert_eq!(back, log);
-        Ok(())
     }
 }

@@ -1,10 +1,11 @@
-//! Property-based tests for the decision log's durable forms.
+//! Property-based tests for the decision log's durable form, its binary
+//! journal image.
 //!
-//! Two families: (1) serde and binary round-trips are exact for arbitrary
-//! record mixes (including fleet records and every migration/snapshot
-//! error shape), and (2) a journal image cut or corrupted at an arbitrary
-//! point always recovers — to the longest complete prefix, consistently,
-//! with any dangling intent resolved — and never errors.
+//! Two families: (1) the round-trip is exact for arbitrary record mixes
+//! (including fleet records and every migration/snapshot error shape), and
+//! (2) an image cut or corrupted at an arbitrary point always recovers —
+//! to the longest complete prefix, consistently, with any dangling intent
+//! resolved — and never errors.
 
 use lemur_control::wal::{DecisionLog, PopHealth, WalRecord};
 use lemur_core::graph::NodeId;
@@ -12,7 +13,6 @@ use lemur_dataplane::MigrationError;
 use lemur_nf::snapshot::SnapshotError;
 use lemur_nf::NfKind;
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Raw fuzz tuple → one WAL record. Every variant (and nested error
 /// shape) is reachable, so round-trips cover the full wire grammar.
@@ -127,18 +127,6 @@ fn log_from(raws: Vec<(u8, u64, u64, u64, u64)>) -> DecisionLog {
 }
 
 proptest! {
-    /// serde round-trip is exact for arbitrary record mixes.
-    #[test]
-    fn serde_round_trip(
-        raws in prop::collection::vec(
-            (0u8..8, 0u64..1_000_000, 0u64..1_000, 0u64..1_000, 0u64..1_000), 0..12),
-    ) {
-        let log = log_from(raws);
-        let back = DecisionLog::from_value(&log.to_value())
-            .map_err(|e| TestCaseError::fail(format!("deserialize: {e:?}")))?;
-        prop_assert_eq!(back, log);
-    }
-
     /// Binary round-trip of an untruncated image is exact: every record
     /// survives, nothing is torn, and no recovery record is invented
     /// unless the log really ended mid-swap.

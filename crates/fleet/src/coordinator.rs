@@ -52,6 +52,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use lemur_control::retry::{Backoff, BackoffPolicy};
 use lemur_control::wal::{DecisionLog, PopHealth, WalRecord};
 use lemur_core::graph::ChainSpec;
 use lemur_dataplane::CrossSiteTransfer;
@@ -62,7 +63,6 @@ use lemur_placer::profiles::NfProfiles;
 use lemur_placer::topology::Topology;
 
 use crate::msg::{ChainClaim, CtrlMsg, Endpoint, Envelope, OverloadLevel, StateReport};
-use crate::retry::{Backoff, BackoffPolicy};
 
 /// Bits of a fencing token below the epoch.
 const TOKEN_EPOCH_SHIFT: u32 = 40;

@@ -374,11 +374,7 @@ impl FleetSim {
             channel.send(0, env);
         }
 
-        let mut generated = 0u64;
-        let mut forwarded = 0u64;
-        let mut nf_dropped = 0u64;
-        let mut dropped_unowned = 0u64;
-        let mut fencing_events = 0u64;
+        let mut ledger = TrafficLedger::default();
         let mut recoveries = 0u64;
         // Coordinator stats survive crashes only if we accumulate them.
         let mut lost_stats = crate::coordinator::CoordStats::default();
@@ -442,51 +438,15 @@ impl FleetSim {
                 }
             }
 
-            // Synthetic traffic: each chain's packets go to whichever PoP
-            // is live for it. Two live PoPs for one chain is the fencing
-            // violation this whole design exists to prevent.
-            let live: Vec<Vec<usize>> = pops.iter().map(|p| p.live_chains(now)).collect();
-            for chain in 0..n_chains {
-                let claimants: Vec<usize> =
-                    (0..n_pops).filter(|&i| live[i].contains(&chain)).collect();
-                generated += u64::from(cfg.packets_per_tick);
-                match claimants.as_slice() {
-                    [] => dropped_unowned += u64::from(cfg.packets_per_tick),
-                    [one] => {
-                        let (f, d) = pops[*one].process(now, chain, cfg.packets_per_tick);
-                        forwarded += f;
-                        nf_dropped += d;
-                    }
-                    [first, ..] => {
-                        fencing_events += 1;
-                        let (f, d) = pops[*first].process(now, chain, cfg.packets_per_tick);
-                        forwarded += f;
-                        nf_dropped += d;
-                    }
-                }
-            }
+            ledger.tick(&mut pops, now, n_chains, cfg.packets_per_tick);
         }
 
         accumulate(&mut lost_stats, &coordinator.stats);
         let cstats = lost_stats;
         let horizon = ticks * cfg.tick_ns;
 
-        // Settled: every non-shed chain is live at exactly its journaled
-        // home PoP right now.
         let shed_chains: Vec<usize> = coordinator.shed().iter().copied().collect();
-        let mut settled = true;
-        for chain in 0..n_chains {
-            if coordinator.shed().contains(&chain) {
-                continue;
-            }
-            let home = coordinator.assignment().get(&chain).map(|&(p, _)| p);
-            let live_at: Vec<usize> = (0..n_pops)
-                .filter(|&i| pops[i].live_chains(horizon).contains(&chain))
-                .collect();
-            if home.is_none() || live_at != vec![home.unwrap()] {
-                settled = false;
-            }
-        }
+        let settled = settled(&coordinator, &pops, n_chains, horizon);
 
         // Journals must replay to the live state on both sides.
         let coord_replay = coordinator.wal().replay();
@@ -507,18 +467,19 @@ impl FleetSim {
         let pop_stats = pops.iter().map(|p| p.stats).collect::<Vec<_>>();
         FleetReport {
             seed: cfg.seed,
-            generated,
-            forwarded,
-            nf_dropped,
-            dropped_unowned,
-            conservation_ok: generated == forwarded + nf_dropped + dropped_unowned,
+            generated: ledger.generated,
+            forwarded: ledger.forwarded,
+            nf_dropped: ledger.nf_dropped,
+            dropped_unowned: ledger.dropped_unowned,
+            conservation_ok: ledger.generated
+                == ledger.forwarded + ledger.nf_dropped + ledger.dropped_unowned,
             channel_sent: stats.sent,
             channel_duplicated: stats.duplicated,
             channel_delivered: stats.delivered,
             channel_dropped: stats.dropped,
             channel_in_flight: channel.in_flight() as u64,
             channel_conserved: stats.conserved(channel.in_flight()),
-            fencing_events,
+            fencing_events: ledger.fencing_events,
             blackout_victim,
             coordinator_recoveries: recoveries,
             drains: cstats.drains,
@@ -641,6 +602,57 @@ impl FleetSim {
         }
         out
     }
+}
+
+/// The fleet-level packet ledger, and the fencing violations met while
+/// filling it.
+#[derive(Default)]
+struct TrafficLedger {
+    generated: u64,
+    forwarded: u64,
+    nf_dropped: u64,
+    dropped_unowned: u64,
+    /// Ticks on which ≥2 PoPs were simultaneously live for one chain.
+    fencing_events: u64,
+}
+
+impl TrafficLedger {
+    /// One tick of synthetic traffic: each chain's packets go to whichever
+    /// PoP is live for it. Two live PoPs for one chain is the fencing
+    /// violation this whole design exists to prevent; the first serves.
+    fn tick(&mut self, pops: &mut [PopRuntime], now: u64, n_chains: usize, packets: u32) {
+        let live: Vec<Vec<usize>> = pops.iter().map(|p| p.live_chains(now)).collect();
+        for chain in 0..n_chains {
+            let claimants: Vec<usize> = (0..pops.len())
+                .filter(|&i| live[i].contains(&chain))
+                .collect();
+            self.generated += u64::from(packets);
+            match claimants.as_slice() {
+                [] => self.dropped_unowned += u64::from(packets),
+                [first, rest @ ..] => {
+                    if !rest.is_empty() {
+                        self.fencing_events += 1;
+                    }
+                    let (f, d) = pops[*first].process(now, chain, packets);
+                    self.forwarded += f;
+                    self.nf_dropped += d;
+                }
+            }
+        }
+    }
+}
+
+/// Every non-shed chain is live at exactly its journaled home PoP at `now`.
+fn settled(coordinator: &FleetCoordinator, pops: &[PopRuntime], n_chains: usize, now: u64) -> bool {
+    (0..n_chains)
+        .filter(|chain| !coordinator.shed().contains(chain))
+        .all(|chain| {
+            let home = coordinator.assignment().get(&chain).map(|&(p, _)| p);
+            let live_at: Vec<usize> = (0..pops.len())
+                .filter(|&i| pops[i].live_chains(now).contains(&chain))
+                .collect();
+            home.is_some_and(|h| live_at == [h])
+        })
 }
 
 fn accumulate(into: &mut crate::coordinator::CoordStats, from: &crate::coordinator::CoordStats) {
